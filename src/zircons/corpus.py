@@ -16,10 +16,11 @@ from typing import Iterator
 from .posets import (
     Poset,
     PosetError,
+    _bits,
+    _signatures,
     are_isomorphic,
     build_poset,
     leq,
-    rank_function,
 )
 
 __all__ = [
@@ -49,16 +50,7 @@ def _natural_strict_orders(n: int) -> Iterator[list[int]]:
             yield below[:]
             return
         for mask in range(1 << j):
-            m = mask
-            ok = True
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                if below[i] & ~mask:
-                    ok = False
-                    break
-                m ^= low
-            if ok:
+            if not any(below[i] & ~mask for i in _bits(mask)):
                 below[j] = mask
                 yield from extend(j + 1)
         below[j] = 0
@@ -70,32 +62,15 @@ def _natural_strict_orders(n: int) -> Iterator[list[int]]:
 
 
 def _poset_from_masks(below: list[int]) -> Poset:
-    n = len(below)
-    pairs = []
-    for j in range(n):
-        m = below[j]
-        while m:
-            low = m & -m
-            pairs.append((low.bit_length() - 1, j))
-            m ^= low
-    return build_poset([str(i) for i in range(n)], pairs, mode="relations")
-
-
-def _class_key(P: Poset) -> tuple:
-    ranks = rank_function(P)
-    rank_profile = tuple(sorted(ranks.values())) if ranks is not None else None
-    sig = sorted(
-        (len(P._down[i]), len(P._up[i]), int(P._lt[:, i].sum()), int(P._lt[i, :].sum()))
-        for i in range(len(P))
-    )
-    return (len(P), len(P.covers), rank_profile, tuple(sig))
+    pairs = [(i, j) for j, mask in enumerate(below) for i in _bits(mask)]
+    return build_poset([str(i) for i in range(len(below))], pairs, mode="relations")
 
 
 def _iso_classes(n: int) -> Iterator[Poset]:
     buckets: dict[tuple, list[Poset]] = {}
     for below in _natural_strict_orders(n):
         P = _poset_from_masks(below)
-        key = _class_key(P)
+        key = tuple(sorted(_signatures(P)))  # an isomorphism invariant
         reps = buckets.setdefault(key, [])
         if any(are_isomorphic(rep, P) is not None for rep in reps):
             continue
@@ -195,7 +170,7 @@ def mobius_matrix(P: Poset) -> dict[tuple[str, str], int]:
     """
     order = list(P._topo)
     k = len(order)
-    zeta = [[1 if (a == b or P._lt[order[a], order[b]]) else 0 for b in range(k)] for a in range(k)]
+    zeta = [[1 if (a == b or P._below[order[b]] >> order[a] & 1) else 0 for b in range(k)] for a in range(k)]
     inv = [[0] * k for _ in range(k)]
     for a in range(k):
         inv[a][a] = 1

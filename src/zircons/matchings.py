@@ -72,7 +72,7 @@ def is_matching(P: Poset, M: Mapping) -> bool:
         if mapping[q] != p:
             return False
         i, j = P.index(p), P.index(q)
-        if (i, j) not in P._cover_set and (j, i) not in P._cover_set:
+        if j not in P._up[i] and j not in P._down[i]:
             return False
     return True
 
@@ -102,12 +102,13 @@ def iter_special_matchings(P: Poset) -> Iterator[dict[str, str]]:
     n = len(P)
     if n % 2 == 1:
         return
-    lt = P._lt
+    below = P._below
     neighbors = [sorted(P._down[i] + P._up[i]) for i in range(n)]
     touching: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, j in sorted(P._cover_set):
-        touching[i].append((i, j))
-        touching[j].append((i, j))
+    for i in range(n):
+        for j in P._up[i]:
+            touching[i].append((i, j))
+            touching[j].append((i, j))
     partner = [-1] * n
 
     def decided_ok(k: int) -> bool:
@@ -118,7 +119,7 @@ def iter_special_matchings(P: Poset) -> Iterator[dict[str, str]]:
             mq = partner[q]
             if mq == -1:
                 continue
-            if not lt[mp, mq]:
+            if not below[mq] >> mp & 1:
                 return False
         return True
 
@@ -169,19 +170,19 @@ def verify_lifting(P: Poset, M: Mapping) -> Verdict:
     mapping = _as_mapping(M)
     if not is_special(P, mapping):
         raise MatchingError("lifting property requires a special matching")
-    lt = P._lt
+    below = P._below
     for yi, y in enumerate(P.elements):
         my = P.index(mapping[y])
-        if not lt[my, yi]:
+        if not below[yi] >> my & 1:
             continue
         for xi in range(len(P)):
-            if not lt[xi, yi]:
+            if not below[yi] >> xi & 1:
                 continue
             x = P.elements[xi]
             mx = P.index(mapping[x])
-            if not (mx == yi or lt[mx, yi]):
+            if not (mx == yi or below[yi] >> mx & 1):
                 return Verdict(False, (x, y), "M(x) not <= y")
-            if lt[mx, xi] and not lt[mx, my]:
+            if below[xi] >> mx & 1 and not below[my] >> mx & 1:
                 return Verdict(False, (x, y), "M(x) < x but not M(x) < M(y)")
     return Verdict(True)
 

@@ -1,11 +1,14 @@
 """Finite partially ordered sets stored as Hasse diagrams.
 
 Elements are opaque string ids (numeric inputs are stringified so that
-JSON round-trips are uniform). A poset keeps its cover relation together
-with the cached reachability closure; instances are immutable after
-construction and all operations are pure, so they are safe to share
-across threads. Only finite posets are representable, hence
-local-finiteness hypotheses hold vacuously throughout.
+JSON round-trips are uniform). A poset keeps one representation of its
+order: bit ``i`` of the Python int ``_below[j]`` is set iff ``i < j``,
+next to the cover adjacency that the sorted ``covers`` tuple lists.
+Arbitrary-precision ints cannot wrap, so the order is exact at every
+size. Instances are immutable after construction and all operations are
+pure, so they are safe to share across threads. Only finite posets are
+representable, hence local-finiteness hypotheses hold vacuously
+throughout.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import math
 import threading
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
 
 __all__ = [
     "Poset",
@@ -73,40 +74,67 @@ class NotAutomorphismError(PosetError):
     """A mapping fails to be an order automorphism."""
 
 
-def _closure(adj: np.ndarray) -> np.ndarray:
-    """Transitive closure of a boolean relation by repeated squaring."""
-    reach = adj.astype(np.uint8)
-    while True:
-        step = (reach @ reach > 0).astype(np.uint8)
-        grown = reach | step
-        if np.array_equal(grown, reach):
-            return reach.astype(bool)
-        reach = grown
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _reduction(lt: np.ndarray) -> np.ndarray:
-    """Covers of a transitively closed strict relation.
+def _order(ids: Sequence[str], pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Strict downsets and covers of the order generated by ``pairs``.
 
-    A pair survives iff it has no 2-step witness x < z < y.
+    ``pairs`` are sorted, distinct index pairs. The closure is a dynamic
+    program over a Kahn topological order: each element takes the union
+    of the rows of its lower neighbours, plus those neighbours. A given
+    pair (i, j) is a cover iff i lies in none of those rows (Aho, Garey
+    and Ullman 1972); the covers come back in the order of ``pairs``.
     """
-    two_step = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    return lt & ~two_step
+    n = len(ids)
+    lower: list[list[int]] = [[] for _ in range(n)]
+    upper: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        lower[j].append(i)
+        upper[i].append(j)
+    missing = [len(preds) for preds in lower]
+    ready = [j for j in range(n) if not missing[j]]
+    below = [0] * n
+    through = [0] * n  # union of the rows of the lower neighbours
+    while ready:
+        j = ready.pop()
+        rows = direct = 0
+        for i in lower[j]:
+            rows |= below[i]
+            direct |= 1 << i
+        through[j] = rows
+        below[j] = rows | direct
+        for k in upper[j]:
+            missing[k] -= 1
+            if not missing[k]:
+                ready.append(k)
+    if any(missing):
+        # every element left over has a lower neighbour left over, so
+        # walking down through them must close a cycle
+        k = next(j for j in range(n) if missing[j])
+        seen = set()
+        while k not in seen:
+            seen.add(k)
+            k = next(i for i in lower[k] if missing[i])
+        raise CycleError(f"cycle through element {ids[k]!r}")
+    return below, [(i, j) for i, j in pairs if not through[j] >> i & 1]
 
 
 class Poset:
-    """Immutable finite poset: ids, cover pairs, and the strict closure.
+    """Immutable finite poset: ids, cover pairs, and the strict order as
+    bitset rows.
 
-    Construct through :func:`build_poset` (validating) or serialization
-    helpers. The raw constructor trusts that ``covers`` is an acyclic,
-    transitively reduced set.
+    ``Poset(elements, covers)`` validates like :func:`build_poset` in
+    covers mode; the subposet functions build from a parent's order.
     """
 
     __slots__ = (
         "elements",
         "covers",
         "_index",
-        "_lt",
-        "_cover_set",
+        "_below",
         "_up",
         "_down",
         "_rank",
@@ -117,49 +145,48 @@ class Poset:
         "_mobius_lock",
     )
 
-    def __init__(self, elements: Iterable, covers: Iterable, *, _lt: Optional[np.ndarray] = None):
+    def __init__(self, elements: Iterable, covers: Iterable, *, _relations: bool = False):
         ids = tuple(str(e) for e in elements)
-        index: dict[str, int] = {}
-        for pos, e in enumerate(ids):
-            if e in index:
-                raise DuplicateElementError(f"duplicate element id {e!r}")
-            index[e] = pos
-        n = len(ids)
-        pair_idx = []
+        index = {e: pos for pos, e in enumerate(ids)}
+        if len(index) != len(ids):
+            dup = next(e for pos, e in enumerate(ids) if index[e] != pos)
+            raise DuplicateElementError(f"duplicate element id {dup!r}")
+        pairs = set()
         for a, b in covers:
             a, b = str(a), str(b)
             if a not in index or b not in index:
-                raise UnknownElementError(f"cover ({a!r}, {b!r}) references an unknown id")
-            pair_idx.append((index[a], index[b]))
-        pair_idx = sorted(set(pair_idx))
+                raise UnknownElementError(f"pair ({a!r}, {b!r}) references an unknown id")
+            if a == b:
+                if not _relations:
+                    raise RedundantCoverError(f"element {a!r} cannot cover itself")
+                continue  # reflexive pairs are vacuous as relations
+            pairs.add((index[a], index[b]))
+        pairs = sorted(pairs)
+        below, reduced = _order(ids, pairs)
+        if not _relations and len(reduced) < len(pairs):
+            i, j = min(set(pairs).difference(reduced))
+            raise RedundantCoverError(f"pair ({ids[i]!r}, {ids[j]!r}) is implied by other covers")
+        self._store(ids, index, below, reduced)
 
-        self.elements = ids
-        self.covers = tuple((ids[i], ids[j]) for i, j in pair_idx)
-        self._index = index
-        self._cover_set = frozenset(pair_idx)
-        if _lt is None:
-            adj = np.zeros((n, n), dtype=bool)
-            for i, j in pair_idx:
-                adj[i, j] = True
-            _lt = _closure(adj)
-        self._lt = _lt
-        self._lt.setflags(write=False)
-        if self._lt.diagonal().any():
-            bad = ids[int(np.argmax(self._lt.diagonal()))]
-            raise CycleError(f"cycle through element {bad!r}")
-
+    def _store(self, ids: tuple[str, ...], index: dict[str, int], below: list[int],
+               pairs: Sequence[tuple[int, int]]) -> None:
+        """Fill the slots from a closure and its sorted cover pairs."""
+        n = len(ids)
         up: list[list[int]] = [[] for _ in range(n)]
         down: list[list[int]] = [[] for _ in range(n)]
-        for i, j in pair_idx:
+        for i, j in pairs:
             up[i].append(j)
             down[j].append(i)
-        self._up = tuple(tuple(sorted(v)) for v in up)
-        self._down = tuple(tuple(sorted(v)) for v in down)
+        self.elements = ids
+        self.covers = tuple((ids[i], ids[j]) for i, j in pairs)
+        self._index = index
+        self._below = tuple(below)
+        self._up = tuple(map(tuple, up))
+        self._down = tuple(map(tuple, down))
         self._minimals = tuple(ids[i] for i in range(n) if not down[i])
         self._maximals = tuple(ids[i] for i in range(n) if not up[i])
-        # sorting by |strict downset| is a linear extension of a closed order
-        downset_sizes = self._lt.sum(axis=0)
-        self._topo = tuple(sorted(range(n), key=lambda i: (int(downset_sizes[i]), i)))
+        # sorting by |strict downset| is a linear extension
+        self._topo = tuple(sorted(range(n), key=lambda i: (below[i].bit_count(), i)))
         self._rank = self._compute_rank()
         self._mobius_cols: dict[int, dict[int, int]] = {}
         self._mobius_lock = threading.Lock()
@@ -236,10 +263,10 @@ class Poset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.elements == other.elements and self._cover_set == other._cover_set
+        return self.elements == other.elements and self.covers == other.covers
 
     def __hash__(self) -> int:
-        return hash((self.elements, self._cover_set))
+        return hash((self.elements, self.covers))
 
     def __repr__(self) -> str:
         return f"Poset(n={len(self.elements)}, covers={len(self.covers)})"
@@ -249,7 +276,8 @@ class PosetMap:
     """A validated order automorphism of a poset.
 
     ``source`` is the carrier poset and ``image`` the underlying dict.
-    The constructor rejects anything that is not a bijective map
+    The constructor rejects anything that is not a bijection carrying the
+    cover set onto itself; on a finite poset that is the same as
     preserving the order in both directions.
     """
 
@@ -272,8 +300,8 @@ class PosetMap:
             perm.append(source._index[v])
         if len(set(perm)) != len(perm):
             raise NotAutomorphismError("map is not a bijection")
-        arr = np.asarray(perm)
-        if not np.array_equal(source._lt[np.ix_(arr, arr)], source._lt):
+        up = source._up
+        if any(perm[j] not in up[perm[i]] for i in range(len(perm)) for j in up[i]):
             raise NotAutomorphismError("map does not preserve the order both ways")
         self._perm = tuple(perm)
         self.image = mapping
@@ -347,66 +375,52 @@ def build_poset(elements: Sequence, relations: Iterable, mode: str = "covers") -
 
     In ``relations`` mode the input pairs are transitively closed and then
     reduced; in ``covers`` mode the pairs must already be exactly the
-    transitive reduction of their closure, otherwise the redundant pairs
-    are reported.
+    transitive reduction of their closure, otherwise the first redundant
+    pair in index order is reported.
     """
     if mode not in ("covers", "relations"):
         raise PosetError(f"unknown mode {mode!r}")
-    ids = [str(e) for e in elements]
-    index: dict[str, int] = {}
-    for e in ids:
-        if e in index:
-            raise DuplicateElementError(f"duplicate element id {e!r}")
-        index[e] = len(index)
-    n = len(ids)
-    adj = np.zeros((n, n), dtype=bool)
-    for a, b in relations:
-        a, b = str(a), str(b)
-        if a not in index or b not in index:
-            raise UnknownElementError(f"pair ({a!r}, {b!r}) references an unknown id")
-        if a == b:
-            if mode == "covers":
-                raise RedundantCoverError(f"element {a!r} cannot cover itself")
-            continue  # reflexive pairs are vacuous as relations
-        adj[index[a], index[b]] = True
-    lt = _closure(adj)
-    if lt.diagonal().any():
-        bad = ids[int(np.argmax(lt.diagonal()))]
-        raise CycleError(f"cycle through element {bad!r}")
-    covers = _reduction(lt)
-    if mode == "covers":
-        redundant = adj & ~covers
-        if redundant.any():
-            i, j = map(int, np.argwhere(redundant)[0])
-            raise RedundantCoverError(
-                f"pair ({ids[i]!r}, {ids[j]!r}) is implied by other covers"
-            )
-    pairs = [(ids[i], ids[j]) for i, j in np.argwhere(covers)]
-    return Poset(ids, pairs, _lt=lt)
+    return Poset(elements, relations, _relations=mode == "relations")
+
+
+def _poset(ids: tuple[str, ...], below: list[int], pairs: Sequence[tuple[int, int]]) -> Poset:
+    """A subposet from its closure and sorted covers, trusted as given."""
+    P = Poset.__new__(Poset)
+    P._store(ids, {e: pos for pos, e in enumerate(ids)}, below, pairs)
+    return P
 
 
 def leq(P: Poset, x, y) -> bool:
     """x <= y in the reflexive order."""
     i, j = P.index(x), P.index(y)
-    return i == j or bool(P._lt[i, j])
+    return i == j or bool(P._below[j] >> i & 1)
 
 
 def induced_subposet(P: Poset, subset: Iterable) -> Poset:
-    """Order restriction to a subset; covers are recomputed from scratch."""
+    """Order restriction to a subset; covers are recomputed by reduction."""
     idxs = sorted({P.index(x) for x in subset})
-    arr = np.asarray(idxs, dtype=int)
-    sub_lt = P._lt[np.ix_(arr, arr)].copy()
-    sub_ids = [P.elements[i] for i in idxs]
-    cov = _reduction(sub_lt)
-    pairs = [(sub_ids[i], sub_ids[j]) for i, j in np.argwhere(cov)]
-    return Poset(sub_ids, pairs, _lt=sub_lt)
+    rows = [P._below[j] for j in idxs]
+    pairs = [(a, b) for a, i in enumerate(idxs) for b, row in enumerate(rows) if row >> i & 1]
+    ids = tuple(P.elements[i] for i in idxs)
+    return _poset(ids, *_order(ids, pairs))
+
+
+def _convex_subposet(P: Poset, idxs: list[int]) -> Poset:
+    """Subposet on a convex subset, given in ascending index order.
+
+    Everything between two members is a member, so the covers among the
+    members are exactly the parent's and need no reduction.
+    """
+    pos = {i: a for a, i in enumerate(idxs)}
+    pairs = [(a, pos[j]) for a, i in enumerate(idxs) for j in P._up[i] if j in pos]
+    ids = tuple(P.elements[i] for i in idxs)
+    return _poset(ids, _order(ids, pairs)[0], pairs)
 
 
 def principal_ideal(P: Poset, x) -> Poset:
     """Subposet on everything weakly below x."""
     i = P.index(x)
-    members = [P.elements[j] for j in range(len(P)) if j == i or P._lt[j, i]]
-    return induced_subposet(P, members)
+    return _convex_subposet(P, _bits(P._below[i] | 1 << i))
 
 
 def interval(P: Poset, x, y) -> Poset:
@@ -414,12 +428,9 @@ def interval(P: Poset, x, y) -> Poset:
     if not leq(P, x, y):
         raise NotComparableError(f"{x!r} is not below {y!r}")
     i, j = P.index(x), P.index(y)
-    members = [
-        P.elements[k]
-        for k in range(len(P))
-        if (k == i or P._lt[i, k]) and (k == j or P._lt[k, j])
-    ]
-    return induced_subposet(P, members)
+    below = P._below
+    members = [k for k in _bits(below[j] | 1 << j) if k == i or below[k] >> i & 1]
+    return _convex_subposet(P, members)
 
 
 def rank_function(P: Poset) -> Optional[dict[str, int]]:
@@ -432,7 +443,8 @@ def rank_function(P: Poset) -> Optional[dict[str, int]]:
 def mobius(P: Poset, x, y) -> int:
     """Mobius value computed by downward recursion, memoized per column."""
     ix, iy = P.index(x), P.index(y)
-    if not (ix == iy or P._lt[ix, iy]):
+    below = P._below
+    if not (ix == iy or below[iy] >> ix & 1):
         raise NotComparableError(f"{x!r} is not below {y!r}")
     with P._mobius_lock:
         col = P._mobius_cols.setdefault(ix, {ix: 1})
@@ -440,12 +452,12 @@ def mobius(P: Poset, x, y) -> int:
             members = [
                 z
                 for z in P._topo
-                if (z == ix or P._lt[ix, z]) and (z == iy or P._lt[z, iy])
+                if (z == ix or below[z] >> ix & 1) and (z == iy or below[iy] >> z & 1)
             ]
             for pos, z in enumerate(members):
                 if z in col:
                     continue
-                col[z] = -sum(col[w] for w in members[:pos] if P._lt[w, z])
+                col[z] = -sum(col[w] for w in members[:pos] if below[z] >> w & 1)
         return col[iy]
 
 
@@ -457,10 +469,12 @@ def is_bounded(P: Poset) -> bool:
 def _signatures(P: Poset) -> list[tuple[int, int, int, int, int]]:
     n = len(P)
     rank = P._rank if P._rank is not None else tuple([-1] * n)
-    down_sizes = P._lt.sum(axis=0)
-    up_sizes = P._lt.sum(axis=1)
+    above = [0] * n  # strict upsets, by the closure's dual over the covers
+    for i in reversed(P._topo):
+        for j in P._up[i]:
+            above[i] |= above[j] | 1 << j
     return [
-        (len(P._down[i]), len(P._up[i]), rank[i], int(down_sizes[i]), int(up_sizes[i]))
+        (len(P._down[i]), len(P._up[i]), rank[i], P._below[i].bit_count(), above[i].bit_count())
         for i in range(n)
     ]
 
@@ -485,12 +499,9 @@ def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
         candidates.setdefault(s, []).append(j)
     # rarest signatures first, ties broken by id position
     order = sorted(range(n), key=lambda i: (len(candidates[sig_p[i]]), sig_p[i], i))
-    cov_p = np.zeros((n, n), dtype=bool)
-    for a, b in P._cover_set:
-        cov_p[a, b] = True
-    cov_q = np.zeros((n, n), dtype=bool)
-    for a, b in Q._cover_set:
-        cov_q[a, b] = True
+    # bit v of up_p[u] is set iff u is covered by v
+    up_p = [sum(1 << v for v in vs) for vs in P._up]
+    up_q = [sum(1 << w for w in ws) for ws in Q._up]
 
     found: list[tuple[int, ...]] = []
     mapping = [-1] * n
@@ -507,7 +518,8 @@ def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
             ok = True
             for u in order[:pos]:
                 mu = mapping[u]
-                if cov_p[u, v] != cov_q[mu, w] or cov_p[v, u] != cov_q[w, mu]:
+                if (up_p[u] >> v & 1 != up_q[mu] >> w & 1
+                        or up_p[v] >> u & 1 != up_q[w] >> mu & 1):
                     ok = False
                     break
             if not ok:
@@ -567,7 +579,11 @@ def poset_to_dict(P: Poset) -> dict:
 def poset_from_dict(obj: Mapping) -> Poset:
     if not isinstance(obj, Mapping) or "elements" not in obj or "covers" not in obj:
         raise PosetError('poset JSON must have "elements" and "covers"')
-    return build_poset(obj["elements"], [tuple(p) for p in obj["covers"]], mode="covers")
+    elements, covers = obj["elements"], obj["covers"]
+    if not (isinstance(elements, list) and isinstance(covers, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in covers)):
+        raise PosetError('poset JSON needs an "elements" list and a "covers" list of id pairs')
+    return build_poset(elements, covers, mode="covers")
 
 
 def map_to_dict(f: PosetMap | Mapping) -> dict:

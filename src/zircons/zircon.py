@@ -98,15 +98,7 @@ def is_zircon(P: Poset) -> bool:
 def is_zircon_ranked(P: Poset) -> bool:
     """Ranked variant of the zircon condition: a rank function must exist
     and every non-trivial principal ideal must have a special matching."""
-    if rank_function(P) is None:
-        return False
-    minimal = set(P.minimal_elements)
-    for x in P.elements:
-        if x in minimal:
-            continue
-        if not has_special_matching(principal_ideal(P, x)):
-            return False
-    return True
+    return rank_function(P) is not None and is_zircon(P)
 
 
 def definitions_agree(P: Poset) -> bool:

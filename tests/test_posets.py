@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from zircons import (
     UnknownElementError,
     are_isomorphic,
     automorphisms,
+    build_coxeter,
     build_poset,
     induced_subposet,
     interval,
@@ -26,11 +30,12 @@ from zircons import (
     principal_ideal,
     rank_function,
 )
+import zircons
 from zircons.posets import PosetMap
 
 
-def brute_covers(elements, relations):
-    """Independent transitive-reduction oracle over all pairs."""
+def brute_closure(relations):
+    """Independent transitive-closure oracle: add composites until stable."""
     lt = {(a, b) for a, b in relations if a != b}
     changed = True
     while changed:
@@ -39,6 +44,12 @@ def brute_covers(elements, relations):
             if b == c and (a, d) not in lt:
                 lt.add((a, d))
                 changed = True
+    return lt
+
+
+def brute_covers(elements, relations):
+    """Independent transitive-reduction oracle over all pairs."""
+    lt = brute_closure(relations)
     return {
         (a, b)
         for a, b in lt
@@ -61,6 +72,9 @@ class TestBuild:
     def test_cycle_detected(self):
         with pytest.raises(CycleError):
             build_poset([0, 1], [(0, 1), (1, 0)], mode="relations")
+        # 0 and 3 hang off the cycle 1 -> 2 -> 1; the error names 1 or 2
+        with pytest.raises(CycleError, match="'[12]'"):
+            build_poset([0, 1, 2, 3], [(0, 1), (1, 2), (2, 1), (2, 3)], mode="relations")
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateElementError):
@@ -77,10 +91,51 @@ class TestBuild:
                 [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)],
                 mode="covers",
             )
+        # of two redundant pairs, the first in index order is named
+        with pytest.raises(RedundantCoverError, match=r"pair \('0', '2'\)"):
+            build_poset([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (1, 3), (0, 2)])
 
     def test_covers_mode_rejects_self_cover(self):
         with pytest.raises(RedundantCoverError):
             build_poset([0], [(0, 0)], mode="covers")
+
+
+
+def _wide_diamond(width):
+    """A bottom and a top with ``width`` incomparable elements between."""
+    middle = [f"m{k}" for k in range(width)]
+    covers = [("bot", m) for m in middle] + [(m, "top") for m in middle]
+    return ["bot", "top", *middle], covers
+
+
+class TestExactClosure:
+    """256 two-step paths once wrapped a uint8 path count to 0."""
+
+    def test_wide_diamond_is_ordered(self):
+        P = build_poset(*_wide_diamond(256))
+        assert leq(P, "bot", "top")
+        assert not leq(P, "top", "bot")
+        assert mobius(P, "bot", "top") == 255
+
+    def test_wide_diamond_rejects_redundant_cover(self):
+        elements, covers = _wide_diamond(256)
+        with pytest.raises(RedundantCoverError, match="'bot', 'top'"):
+            build_poset(elements, covers + [("bot", "top")])
+
+    def test_d5_bruhat_matches_reachability(self):
+        B = build_coxeter("D5").bruhat_poset()
+        lower = {e: [] for e in B.elements}
+        for a, b in B.covers:
+            lower[b].append(a)
+        for y in B.elements:
+            reach = {y}
+            stack = [y]
+            while stack:
+                for x in lower[stack.pop()]:
+                    if x not in reach:
+                        reach.add(x)
+                        stack.append(x)
+            assert reach == {x for x in B.elements if leq(B, x, y)}, y
 
 
 class TestOrderQueries:
@@ -351,11 +406,27 @@ def relation_lists(draw):
 def test_build_poset_properties(data):
     n, rels = data
     P = build_poset(list(range(n)), rels, mode="relations")
-    for a, b in rels:
-        assert leq(P, a, b)
+    closure = brute_closure(rels)
+    for a, b in itertools.product(range(n), repeat=2):
+        assert leq(P, a, b) == (a == b or (a, b) in closure)
+    assert set(P.covers) == {(str(a), str(b)) for a, b in brute_covers(range(n), rels)}
     for a, b in P.covers:
         assert not any(
             leq(P, a, z) and leq(P, z, b) and z not in (a, b) for z in P.elements
         )
     # rebuilding from the emitted covers is the identity
     assert build_poset(P.elements, P.covers, mode="covers") == P
+
+
+def test_runs_without_numpy():
+    """numpy is not a dependency: the package works with it unimportable."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(zircons.__file__).resolve().parents[1])!r})\n"
+        "sys.modules['numpy'] = None\n"
+        "import zircons\n"
+        "P = zircons.build_poset('abcd', [('a', 'b'), ('a', 'c'), ('b', 'd'), ('c', 'd')])\n"
+        "assert zircons.leq(P, 'a', 'd') and not zircons.leq(P, 'b', 'c')\n"
+        "assert zircons.mobius(P, 'a', 'd') == 1 and zircons.is_zircon(P)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -153,6 +153,21 @@ class TestCheckCommand:
         rc = main(["check", str(bad), str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "poset",
+        [
+            {"elements": ["a", "b"], "covers": [["a"]]},
+            {"elements": ["a", "b"], "covers": [["a", "b", "a"]]},
+            {"elements": ["a", "b"], "covers": ["ab"]},
+            {"elements": "ab", "covers": []},
+            {"elements": ["a", "b"], "covers": {"a": "b"}},
+        ],
+    )
+    def test_malformed_poset_is_input_error(self, files, poset):
+        tmp, write = files
+        rc = main(["check", write("p.json", poset), write("m.json", {"pairs": [["a", "b"]]})])
+        assert rc == 2
+
     def test_not_a_matching_fails(self, files):
         tmp, write = files
         rc = main(
