@@ -61,7 +61,6 @@ from .zircon import (
     is_zircon,
     is_zircon_ranked,
     definitions_agree,
-    transform_matching,
     matching_family,
     orbit_component,
     component_extrema,
@@ -85,7 +84,6 @@ from .coxeter import (
     fix_subgroup_poset,
 )
 from .corpus import (
-    CorpusStream,
     MAX_EXHAUSTIVE_N,
     enumerate_posets,
     enumerate_matchings,

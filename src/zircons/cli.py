@@ -43,10 +43,8 @@ from .posets import (
     poset_from_dict,
     poset_to_dict,
     poset_to_dot,
-    rank_function,
-    leq,
 )
-from .sweep import ManifestError, WorkerPanic, run_sweep
+from .sweep import ManifestError, WorkerPanic, _sphericity_witness, run_sweep
 from .zircon import (
     BoundednessError,
     ConstructionError,
@@ -195,22 +193,8 @@ def _coxeter_twisted(W, theta, args) -> int:
     induced = induced_subposet(B, labels)
     equal = induced == fixed
     zircon = is_zircon(induced)
-    ranks = rank_function(induced)
-    sphericity = True
-    witness = None
-    if ranks is None:
-        sphericity = False
-        witness = ["unranked"]
-    else:
-        for x in induced.elements:
-            for y in induced.elements:
-                if leq(induced, x, y):
-                    if mobius(induced, x, y) != (-1) ** (ranks[y] - ranks[x]):
-                        sphericity = False
-                        witness = [x, y]
-                        break
-            if not sphericity:
-                break
+    witness = _sphericity_witness(induced)
+    sphericity = witness is None
     report = {
         "type": W.type_spec,
         "theta": theta.generator_map,

@@ -9,7 +9,6 @@ against the known unlabeled sequence 1, 2, 5, 16, 63, 318.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
@@ -25,7 +24,6 @@ from .posets import (
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
-    "CorpusStream",
     "enumerate_posets",
     "enumerate_matchings",
     "mobius_oracle",
@@ -103,30 +101,6 @@ def enumerate_posets(n: int, canonical: bool = True) -> Iterator[Poset]:
             seen.add(relabeled)
             pairs = [(str(i), str(j)) for i, j in sorted(relabeled)]
             yield Poset(ids, pairs)
-
-
-@dataclass(frozen=True)
-class CorpusStream:
-    """Reproducible source of test posets for sweeps."""
-
-    max_n: int
-    mode: str = "exhaustive"
-    seed: int = 0
-    canonical: bool = True
-    count: int = 0  # random mode: how many posets
-    density: float = 0.3
-
-    def __iter__(self) -> Iterator[tuple[str, Poset]]:
-        if self.mode == "exhaustive":
-            for n in range(1, self.max_n + 1):
-                for k, P in enumerate(enumerate_posets(n, canonical=self.canonical)):
-                    yield f"n{n}-c{k:04d}", P
-        elif self.mode == "random":
-            for k in range(self.count):
-                seed = self.seed + k
-                yield f"rand-n{self.max_n}-s{seed}", random_poset(self.max_n, seed, self.density)
-        else:
-            raise PosetError(f"unknown corpus mode {self.mode!r}")
 
 
 def enumerate_matchings(P: Poset) -> list[dict[str, str]]:

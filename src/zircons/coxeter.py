@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .matchings import is_matching, is_special
+from .matchings import MatchingError, is_special
 from .posets import Poset, PosetMap, build_poset, induced_subposet
 
 __all__ = [
@@ -319,8 +319,10 @@ def descent_matching(
 ) -> dict[str, str]:
     """Multiplication by a descent, restricted to the Bruhat ideal of w.
 
-    Guaranteed to be a special matching on the ideal; this is re-verified
-    and a failure raises, since it would expose a model bug.
+    Guaranteed to be a special matching on the ideal. The result is
+    checked once, by ``is_special`` (which also checks that it is a
+    matching); a failure raises ``CoxeterError``, since it would expose a
+    model bug.
     """
     if side not in ("right", "left"):
         raise CoxeterError(f"side must be 'right' or 'left', got {side!r}")
@@ -346,9 +348,10 @@ def descent_matching(
                 f"descent image {y!r} leaves the ideal of {wp.label!r}; model bug"
             )
         mapping[x] = y
-    if not is_matching(ideal, mapping):
-        raise CoxeterError("descent map is not a matching; model bug")
-    verdict = is_special(ideal, mapping)
+    try:
+        verdict = is_special(ideal, mapping)
+    except MatchingError:
+        raise CoxeterError("descent map is not a matching; model bug") from None
     if not verdict:
         raise CoxeterError(f"descent matching not special at {verdict.witness}; model bug")
     return mapping
@@ -433,10 +436,10 @@ def theta_from_spec(W: CoxeterSystem, spec: str) -> DiagramAutomorphism:
         return DiagramAutomorphism(W, {})
     if spec == "flip":
         n = len(W.generators)
+        if W.family == "B" and n > 2:
+            raise CoxeterError(f"flip exists for B only at B2, not at {W.type_spec}")
         if W.family in ("A", "B"):
             perm = {f"s{i}": f"s{n + 1 - i}" for i in range(1, n + 1)}
-        elif W.family == "D":
-            perm = {"s1": "s2", "s2": "s1"}
         else:
             perm = {"s1": "s2", "s2": "s1"}
         return DiagramAutomorphism(W, perm)

@@ -200,12 +200,12 @@ def matching_to_dict(M: Mapping) -> dict:
 
 
 def matching_from_dict(obj: Mapping) -> dict[str, str]:
-    if not isinstance(obj, Mapping) or "pairs" not in obj:
-        raise MatchingError('matching JSON must have a "pairs" list')
+    pairs = obj.get("pairs") if isinstance(obj, Mapping) else None
+    if not (isinstance(pairs, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)):
+        raise MatchingError('matching JSON needs a "pairs" list of id pairs')
     mapping: dict[str, str] = {}
-    for pair in obj["pairs"]:
-        if len(pair) != 2:
-            raise MatchingError(f"pair {pair!r} must have exactly two ids")
+    for pair in pairs:
         a, b = str(pair[0]), str(pair[1])
         if a == b or a in mapping or b in mapping:
             raise MatchingError(f"pair {pair!r} is degenerate or reuses an element")

@@ -43,14 +43,13 @@ from .posets import (
 from .zircon import (
     ConstructionError,
     ExtremaError,
+    _fixed_point_matching,
     component_extrema,
     definitions_agree,
-    fixed_point_matching,
     fixed_point_subposet,
     greedy_descend,
     is_zircon,
     matching_family,
-    orbit_component,
 )
 
 __all__ = ["SweepReport", "ManifestError", "run_sweep", "validate_manifest", "GREEDY_SHUFFLES"]
@@ -105,6 +104,11 @@ class SweepReport:
         )
 
 
+def _is_int(value) -> bool:
+    """JSON integer; ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_manifest(manifest: dict) -> dict:
     """Normalize and validate a sweep manifest."""
     if not isinstance(manifest, dict) or "mode" not in manifest:
@@ -112,18 +116,19 @@ def validate_manifest(manifest: dict) -> dict:
     mode = manifest["mode"]
     if mode == "exhaustive":
         max_n = manifest.get("max_n")
-        if not isinstance(max_n, int) or not 1 <= max_n <= corpus.MAX_EXHAUSTIVE_N:
+        if not _is_int(max_n) or not 1 <= max_n <= corpus.MAX_EXHAUSTIVE_N:
             raise ManifestError(f"exhaustive mode needs max_n in 1..{corpus.MAX_EXHAUSTIVE_N}")
         return {"mode": "exhaustive", "max_n": max_n}
     if mode == "random":
         n = manifest.get("n")
         seeds = manifest.get("seeds")
         density = manifest.get("density", 0.3)
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ManifestError("random mode needs a positive n")
-        if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+        if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
             raise ManifestError("random mode needs a non-empty integer seed list")
-        if not isinstance(density, (int, float)) or not 0.0 <= density <= 1.0:
+        if (isinstance(density, bool) or not isinstance(density, (int, float))
+                or not 0.0 <= density <= 1.0):
             raise ManifestError("density must lie in [0, 1]")
         return {"mode": "random", "n": n, "seeds": list(seeds), "density": float(density)}
     raise ManifestError(f"unknown sweep mode {mode!r}")
@@ -195,17 +200,8 @@ def _proof_step_records(poset_id: str, P: Poset, family, fixed: set[str],
                         m_idx: int, a_idx: int) -> list[dict]:
     """The proof-step invariants for one (matching, automorphism) case."""
     records = []
-    seen: set[str] = set()
-    components: list[frozenset[str]] = []
-    comp_of: dict[str, frozenset[str]] = {}
-    for x in P.elements:
-        if x in seen:
-            continue
-        comp = orbit_component(P, family, x)
-        seen |= comp
-        components.append(comp)
-        for y in comp:
-            comp_of[y] = comp
+    comp_of = family.components
+    components = list(dict.fromkeys(comp_of.values()))
 
     extrema_ok, extrema_witness = True, None
     extrema: dict[frozenset[str], tuple[str, str]] = {}
@@ -316,7 +312,7 @@ def sweep_case(payload: dict) -> list[dict]:
             family = matching_family(P, M, phi)
             fixed = set(phi.fixed_points())
             try:
-                m_phi = fixed_point_matching(P, M, phi)
+                m_phi = _fixed_point_matching(P, family)
                 pairs = matching_pairs(m_phi)
                 records.append(_record(poset_id, "fixed_point_special", True,
                                        matching=m_idx, automorphism=a_idx,

@@ -9,9 +9,12 @@ special matchings whose connectivity components have unique extrema, and
 pairing each fixed point with the opposite extremum of its component is a
 special matching on the fixed-point subposet.
 
-Every step re-verifies its own output instead of trusting the theory:
-the point of this module is falsification of the implementation, so
-internal contradictions raise loudly.
+Each public call checks its input once, at the boundary, and its result
+once: ``matching_family`` checks that M is special, and
+``fixed_point_matching`` checks that the induced pairing is special on the
+fixed points. The steps in between trust the theory and are not re-checked
+at run time; the test suite checks them exhaustively on small posets.
+A result that fails its one check raises ``ConstructionError`` loudly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Mapping, Optional, Sequence
 
 from .matchings import (
     MatchingError,
-    is_matching,
     is_special,
     has_special_matching,
     matching_pairs,
@@ -30,6 +32,7 @@ from .posets import (
     Poset,
     PosetMap,
     NotAutomorphismError,
+    UnknownElementError,
     induced_subposet,
     is_bounded,
     leq,
@@ -45,7 +48,6 @@ __all__ = [
     "is_zircon",
     "is_zircon_ranked",
     "definitions_agree",
-    "transform_matching",
     "matching_family",
     "orbit_component",
     "component_extrema",
@@ -75,12 +77,15 @@ class MatchingFamily:
 
     ``members[k-1]`` is M_k(p) = phi^k(M(phi^-k(p))) for k = 1..N, where N
     is the multiplicative order of phi; M_N equals the base matching.
+    ``components[p]`` is the connected component of p in the union of all
+    member edges, keyed in element order.
     """
 
     base: Mapping[str, str]
     automorphism: PosetMap
     order: int
     members: tuple[Mapping[str, str], ...]
+    components: Mapping[str, frozenset[str]]
 
 
 def is_zircon(P: Poset) -> bool:
@@ -115,49 +120,51 @@ def _as_poset_map(P: Poset, f) -> PosetMap:
     return PosetMap(P, f)
 
 
-def transform_matching(P: Poset, M: Mapping, f) -> dict[str, str]:
-    """Conjugate a matching by an automorphism: p -> f(M(f^-1(p)))."""
-    fm = _as_poset_map(P, f)
-    if not is_matching(P, M):
-        raise MatchingError("input is not a matching on the poset")
-    return {fm(p): fm(q) for p, q in M.items()}
-
-
 def matching_family(P: Poset, M: Mapping, phi) -> MatchingFamily:
     """Build all conjugates M_1..M_N of a special matching M, N the order
-    of phi, re-verifying that each conjugate is special."""
+    of phi, and the connected components of their union.
+
+    M is checked once to be special; its conjugates are special because
+    phi is an automorphism, and they are not re-checked.
+    """
     fm = _as_poset_map(P, phi)
     if not is_special(P, M):
         raise MatchingError("family construction requires a special matching")
-    n_order = fm.order()
+    base = {str(k): str(v) for k, v in M.items()}
     members = []
-    current = {str(k): str(v) for k, v in M.items()}
-    for k in range(1, n_order + 1):
+    current = base
+    for _ in range(fm.order()):
         current = {fm(p): fm(q) for p, q in current.items()}
-        verdict = is_special(P, current)
-        if not verdict:
-            raise ConstructionError(
-                f"conjugate matching M_{k} is not special at cover {verdict.witness}"
-            )
         members.append(current)
-    if members[-1] != {str(k): str(v) for k, v in M.items()}:
-        raise ConstructionError("M_N differs from M; order computation is wrong")
-    return MatchingFamily(base=members[-1], automorphism=fm, order=n_order, members=tuple(members))
+
+    comp_of: dict[str, frozenset[str]] = {}
+    for x in P.elements:
+        if x in comp_of:
+            continue
+        seen = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for member in members:
+                z = member[y]
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+        comp = frozenset(seen)
+        for y in comp:
+            comp_of[y] = comp
+    return MatchingFamily(
+        base=base,
+        automorphism=fm,
+        order=len(members),
+        members=tuple(members),
+        components={x: comp_of[x] for x in P.elements},
+    )
 
 
 def orbit_component(P: Poset, F: MatchingFamily, p) -> frozenset[str]:
     """Connected component of p in the union of all family edges."""
-    start = P.elements[P.index(p)]
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for M in F.members:
-            y = M[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    return F.components[P.elements[P.index(p)]]
 
 
 def component_extrema(P: Poset, C) -> tuple[str, str]:
@@ -216,36 +223,19 @@ def fixed_point_subposet(P: Poset, phi) -> Poset:
     return induced_subposet(P, fm.fixed_points())
 
 
-def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
-    """The induced special matching on the fixed points of phi.
-
-    Requires P finite and bounded and M special. Each fixed point sits at
-    an extremum of its orbit component; it is matched to the opposite
-    extremum. The result is re-verified to be a special matching on the
-    fixed-point subposet and the function fails loudly otherwise.
-    """
-    fm = _as_poset_map(P, phi)
+def _require_bounded(P: Poset) -> None:
     if not is_bounded(P):
         raise BoundednessError("fixed-point construction requires a bounded poset")
-    family = matching_family(P, M, fm)
-    fixed = fm.fixed_points()
-    if not fixed:
-        raise ConstructionError("empty fixed-point set on a bounded poset")
-    bottom = P.minimal_elements[0]
-    top = P.maximal_elements[0]
-    if fm(bottom) != bottom or fm(top) != top:
-        raise ConstructionError("automorphism moves the unique minimum or maximum")
 
-    components: dict[str, frozenset[str]] = {}
-    for p in fixed:
-        if p not in components:
-            comp = orbit_component(P, family, p)
-            for x in comp:
-                components[x] = comp
+
+def _fixed_point_matching(P: Poset, family: MatchingFamily) -> dict[str, str]:
+    """Pair each fixed point with the opposite extremum of its component,
+    then check once that the pairing is special on the fixed points."""
+    fixed = family.automorphism.fixed_points()
     result: dict[str, str] = {}
     extrema_cache: dict[frozenset[str], tuple[str, str]] = {}
     for p in fixed:
-        comp = components[p]
+        comp = family.components[p]
         if comp not in extrema_cache:
             extrema_cache[comp] = component_extrema(P, comp)
         lo, hi = extrema_cache[comp]
@@ -257,10 +247,10 @@ def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
             raise ConstructionError(
                 f"fixed point {p!r} is neither the minimum nor the maximum of its component"
             )
-    sub = fixed_point_subposet(P, fm)
-    if not is_matching(sub, result):
-        raise ConstructionError("induced pairing is not a matching on the fixed points")
-    verdict = is_special(sub, result)
+    try:
+        verdict = is_special(induced_subposet(P, fixed), result)
+    except (MatchingError, UnknownElementError) as exc:
+        raise ConstructionError("induced pairing is not a matching on the fixed points") from exc
     if not verdict:
         raise ConstructionError(
             f"induced matching is not special at cover {verdict.witness}"
@@ -268,29 +258,38 @@ def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
     return result
 
 
+def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
+    """The induced special matching on the fixed points of phi.
+
+    Input, checked at the boundary: phi an automorphism of P, P bounded,
+    M special (the last by ``matching_family``). Each fixed point sits at
+    an extremum of its orbit component and is matched to the opposite
+    extremum. The result is checked once, to be a special matching on the
+    fixed-point subposet; ``ConstructionError`` is raised otherwise.
+    """
+    fm = _as_poset_map(P, phi)
+    _require_bounded(P)
+    return _fixed_point_matching(P, matching_family(P, M, fm))
+
+
 def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
     """JSON-ready record of one fixed-point construction run."""
     fm = _as_poset_map(P, phi)
     family = matching_family(P, M, fm)
-    seen: set[str] = set()
-    comps: list[list[str]] = []
-    for x in P.elements:
-        if x in seen:
-            continue
-        comp = orbit_component(P, family, x)
-        seen |= comp
-        comps.append(sorted(comp, key=P.index))
     report = {
         "n": len(P),
         "order_N": family.order,
-        "components": comps,
+        "components": [
+            sorted(comp, key=P.index) for comp in dict.fromkeys(family.components.values())
+        ],
         "fixed_points": sorted(fm.fixed_points(), key=P.index),
         "special": False,
         "witness": None,
         "m_phi": None,
     }
     try:
-        m_phi = fixed_point_matching(P, M, fm)
+        _require_bounded(P)
+        m_phi = _fixed_point_matching(P, family)
     except (BoundednessError, ConstructionError, ExtremaError) as exc:
         report["witness"] = str(exc)
         return report

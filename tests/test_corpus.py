@@ -1,7 +1,6 @@
 import pytest
 
 from zircons import (
-    CorpusStream,
     PosetError,
     are_isomorphic,
     build_poset,
@@ -14,6 +13,7 @@ from zircons import (
     poset_to_dict,
     random_poset,
 )
+from zircons.sweep import _iter_payloads
 
 # counts of posets by isomorphism class and by labeling, n = 1..
 CLASS_COUNTS = [1, 2, 5, 16, 63, 318]
@@ -45,8 +45,8 @@ class TestEnumeration:
             next(enumerate_posets(8))
 
     def test_stream_ids_unique(self):
-        stream = CorpusStream(max_n=4)
-        ids = [pid for pid, _ in stream]
+        payloads = _iter_payloads({"mode": "exhaustive", "max_n": 4}, cap_matchings=1)
+        ids = [payload["poset_id"] for payload in payloads]
         assert len(ids) == len(set(ids)) == 24
 
 

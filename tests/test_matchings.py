@@ -14,7 +14,6 @@ from zircons import (
     matching_from_dict,
     matching_pairs,
     matching_to_dict,
-    transform_matching,
     verify_lifting,
 )
 from zircons.posets import automorphisms
@@ -123,7 +122,7 @@ def test_specialness_invariant_under_relabeling(corpus_to_5):
         for M in enumerate_matchings(P):
             verdict = is_special(P, M).ok
             for phi in maps:
-                conj = transform_matching(P, M, phi)
+                conj = {phi(p): phi(q) for p, q in M.items()}
                 assert is_special(P, conj).ok == verdict
 
 

@@ -1,6 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zircons.cli import main
 from zircons.sweep import ManifestError, SweepReport, run_sweep, validate_manifest
@@ -55,6 +58,11 @@ class TestSweep:
             {"mode": "random", "n": 8},
             {"mode": "random", "n": 8, "seeds": []},
             {"mode": "random", "n": 8, "seeds": [1], "density": 2.0},
+            # bool is an int subclass, but true is not a size or a seed
+            {"mode": "exhaustive", "max_n": True},
+            {"mode": "random", "n": True, "seeds": [1]},
+            {"mode": "random", "n": 8, "seeds": [True]},
+            {"mode": "random", "n": 8, "seeds": [1], "density": True},
         ):
             with pytest.raises(ManifestError):
                 validate_manifest(bad)
@@ -70,6 +78,7 @@ DIAMOND = {
     "elements": ["0", "1", "2", "3"],
     "covers": [["0", "1"], ["0", "2"], ["1", "3"], ["2", "3"]],
 }
+CHAIN = {"elements": ["0", "1", "2", "3"], "covers": [["0", "1"], ["1", "2"], ["2", "3"]]}
 N_POSET = {
     "elements": ["a", "b", "c", "d"],
     "covers": [["a", "c"], ["a", "d"], ["b", "d"]],
@@ -166,6 +175,22 @@ class TestCheckCommand:
     def test_malformed_poset_is_input_error(self, files, poset):
         tmp, write = files
         rc = main(["check", write("p.json", poset), write("m.json", {"pairs": [["a", "b"]]})])
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "matching",
+        [
+            {"pairs": [1]},
+            {"pairs": None},
+            {"pairs": ["01"]},
+            {"pairs": "0123"},
+            {"pairs": [["0", "1", "2"]]},
+            [["0", "1"]],
+        ],
+    )
+    def test_malformed_matching_is_input_error(self, files, matching):
+        tmp, write = files
+        rc = main(["check", write("p.json", DIAMOND), write("m.json", matching)])
         assert rc == 2
 
     def test_not_a_matching_fails(self, files):
@@ -283,8 +308,9 @@ class TestCoxeterCommand:
     def test_invalid_type(self, files):
         assert main(["coxeter", "Q9", "export"]) == 2
 
-    def test_invalid_theta(self, files):
+    def test_invalid_theta(self, files, capsys):
         assert main(["coxeter", "B3", "twisted", "flip"]) == 2
+        assert "flip exists for B only at B2" in capsys.readouterr().err
 
 
 class TestDotMobiusCommands:
@@ -304,3 +330,50 @@ class TestDotMobiusCommands:
     def test_mobius_incomparable(self, files):
         tmp, write = files
         assert main(["mobius", write("p.json", DIAMOND), "1", "2"]) == 2
+
+
+# Small ids, so that generated covers, pairs and maps often hit real elements.
+_ids = st.sampled_from(["0", "1", "2", "3", 0, "x"])
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | _ids,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_id_pair = st.lists(_ids, min_size=2, max_size=2)
+_poset_json = st.one_of(
+    st.sampled_from([DIAMOND, CHAIN]),
+    st.fixed_dictionaries({
+        "elements": st.lists(_ids, unique=True, max_size=5) | _json,
+        "covers": st.lists(_id_pair | _json, max_size=5) | _json,
+    }),
+    _json,
+)
+_matching_json = st.one_of(
+    st.permutations("0123").map(lambda p: {"pairs": [[p[0], p[1]], [p[2], p[3]]]}),
+    st.fixed_dictionaries({"pairs": st.lists(_id_pair | _json, max_size=3) | _json}),
+    _json,
+)
+_map_json = st.one_of(
+    st.permutations("0123").map(lambda image: {"map": dict(zip("0123", image))}),
+    st.fixed_dictionaries({"map": st.dictionaries(_ids.map(str), _ids, max_size=4) | _json}),
+    _json,
+)
+
+
+@given(poset=_poset_json, matching=_matching_json, mapping=st.none() | _map_json)
+@example(poset=DIAMOND, matching={"pairs": [1]}, mapping=None)
+@settings(max_examples=100, deadline=None)
+def test_check_any_json_exits_cleanly(poset, matching, mapping):
+    """Whatever JSON it is given, ``check`` answers with exit 0, 1 or 2 and
+    never escapes with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, obj):
+            path = Path(tmp) / name
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        args = ["check", write("p.json", poset), write("m.json", matching)]
+        if mapping is not None:
+            args.append(write("phi.json", mapping))
+        assert main([*args, "--output", str(Path(tmp) / "report.json")]) in (0, 1, 2)

@@ -1,10 +1,13 @@
 import pytest
 
+import zircons.matchings
+import zircons.zircon
 from zircons import (
     BoundednessError,
     ConstructionError,
     ExtremaError,
     MatchingError,
+    build_coxeter,
     build_poset,
     component_extrema,
     definitions_agree,
@@ -20,9 +23,10 @@ from zircons import (
     matching_family,
     matching_pairs,
     orbit_component,
-    transform_matching,
+    poset_to_dict,
 )
 from zircons.posets import PosetMap, automorphisms
+from zircons.sweep import sweep_case
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +82,16 @@ class TestZirconChecks:
 
 
 class TestTransform:
+    """The first family member M_1 is the conjugate p -> phi(M(phi^-1(p)))."""
+
     def test_identity(self, diamond):
         M = {"0": "1", "1": "0", "2": "3", "3": "2"}
         ident = PosetMap(diamond, {e: e for e in diamond.elements})
-        assert transform_matching(diamond, M, ident) == M
+        assert matching_family(diamond, M, ident).members[0] == M
 
     def test_diamond_conjugation(self, diamond, diamond_swap):
         M = {"0": "1", "1": "0", "2": "3", "3": "2"}
-        assert transform_matching(diamond, M, diamond_swap) == {
+        assert matching_family(diamond, M, diamond_swap).members[0] == {
             "0": "2",
             "2": "0",
             "1": "3",
@@ -93,7 +99,7 @@ class TestTransform:
         }
 
     def test_hexagon_flip_gives_other_descent(self, a2, hexagon, hexagon_flip, m_rmult_s1):
-        conj = transform_matching(hexagon, m_rmult_s1, hexagon_flip)
+        conj = matching_family(hexagon, m_rmult_s1, hexagon_flip).members[0]
         assert conj == descent_matching(a2, "s1.s2.s1", "s2", "right")
 
 
@@ -291,3 +297,107 @@ def test_theorem_holds_across_small_bounded_posets(corpus_to_5):
                 assert is_special(sub, got).ok
                 ran += 1
     assert ran > 0
+
+
+def _rotate(mask):
+    return ((mask << 1) | (mask >> 2)) & 7
+
+
+@pytest.fixture(scope="module")
+def cube():
+    """Boolean lattice of the subsets of {0, 1, 2}, as bitmasks 0..7."""
+    covers = [(m, m | 1 << i) for m in range(8) for i in range(3) if not m >> i & 1]
+    return build_poset(list(range(8)), covers)
+
+
+def _component_walk(F, p):
+    """Component of p in the union of the family's edges, walked here apart
+    from the one ``matching_family`` stores."""
+    seen, frontier = {p}, [p]
+    while frontier:
+        x = frontier.pop()
+        for M_k in F.members:
+            if M_k[x] not in seen:
+                seen.add(M_k[x])
+                frontier.append(M_k[x])
+    return frozenset(seen)
+
+
+def test_family_members_special_and_components_exact(corpus_to_5, cube, a3):
+    """The construction does not re-check its intermediate steps at run
+    time; this checks them on every class up to n = 5, the cube and the
+    Bruhat orders of A3 and I2(6), for every special matching and every
+    automorphism: each conjugate is special, M_N is M, and the stored
+    components are the orbit components, in element order."""
+    cases = 0
+    for P in [*corpus_to_5, cube, a3.bruhat_poset(), build_coxeter("I2:6").bruhat_poset()]:
+        for M in enumerate_special_matchings(P):
+            for phi in automorphisms(P):
+                F = matching_family(P, M, phi)
+                assert len(F.members) == F.order == phi.order()
+                assert F.members[-1] == M
+                assert all(is_special(P, M_k).ok for M_k in F.members)
+                assert F.components == {p: _component_walk(F, p) for p in P.elements}
+                assert list(F.components) == list(P.elements)
+                cases += 1
+    assert cases > 1000
+
+
+@pytest.fixture()
+def check_calls(monkeypatch):
+    """Sizes of the posets that ``is_special`` and ``is_matching`` are run
+    on, counted at every module that could call them."""
+    calls = {"is_special": [], "is_matching": []}
+    for name, seen in calls.items():
+        real = getattr(zircons.matchings, name)
+
+        def counting(P, M, real=real, seen=seen):
+            seen.append(len(P))
+            return real(P, M)
+
+        for module in ("matchings", "zircon", "coxeter"):
+            monkeypatch.setattr(f"zircons.{module}.{name}", counting, raising=False)
+    return calls
+
+
+class TestChecksRunOnce:
+    """Each public call checks its input once and its result once."""
+
+    @pytest.mark.parametrize(
+        "image,order",
+        [
+            (lambda m: m, 1),
+            (lambda m: m & 1 | (m & 2) << 1 | (m & 4) >> 1, 2),  # swap bits 1 and 2
+            (_rotate, 3),
+        ],
+    )
+    def test_fixed_point_matching_checks_twice(self, check_calls, cube, image, order):
+        phi = PosetMap(cube, {str(m): str(image(m)) for m in range(8)})
+        toggle_bit_0 = {str(m): str(m ^ 1) for m in range(8)}
+        got = fixed_point_matching(cube, toggle_bit_0, phi)
+        assert phi.order() == order
+        # the input M on the cube, then the result on the fixed points
+        fixed = len(phi.fixed_points())
+        assert check_calls == {"is_special": [8, fixed], "is_matching": [8, fixed]}
+        assert len(got) == fixed
+
+    def test_descent_matching_checks_once(self, check_calls, a3):
+        M = descent_matching(a3, a3.longest_element(), "s2", "left")
+        assert check_calls == {"is_special": [24], "is_matching": [24]}
+        assert len(M) == 24
+
+    def test_sweep_builds_one_family_per_case(self, monkeypatch, cube):
+        built = []
+        real = zircons.zircon.MatchingFamily
+
+        def counting(**fields):
+            built.append(fields["order"])
+            return real(**fields)
+
+        monkeypatch.setattr("zircons.zircon.MatchingFamily", counting)
+        payload = {"poset_id": "cube", "poset": poset_to_dict(cube),
+                   "mode": "exhaustive", "cap": 100}
+        cases = [r for r in sweep_case(payload) if r["check"] == "fixed_point_special"]
+        assert cases and all(r["ok"] for r in cases)
+        assert len(built) == len(cases)
+        assert 3 in built  # the rotations are among the automorphisms
