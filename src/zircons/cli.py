@@ -4,6 +4,9 @@ Subcommands: check, sweep, coxeter, dot, mobius. Exit codes: 0 when all
 checks pass, 1 when a verification fails (the report carries a witness),
 2 on malformed input or violated preconditions, 3 when a sweep worker
 dies (the offending poset is serialized for reproduction).
+
+``coxeter T zircon-check`` takes its zircon verdict from the descent matchings
+it checks on each principal ideal; only an ideal where none passed is searched.
 """
 
 from __future__ import annotations
@@ -27,22 +30,25 @@ from .matchings import (
     DEFAULT_MATCHING_LIMIT,
     MatchingError,
     SearchLimitError,
-    is_matching,
+    has_special_matching,
     is_special,
     matching_from_dict,
     matching_pairs,
     verify_lifting,
 )
 from .posets import (
+    NotAutomorphismError,
     PosetError,
+    PosetMap,
     are_isomorphic,
-    is_automorphism,
+    induced_subposet,
     is_bounded,
     map_from_dict,
     mobius,
     poset_from_dict,
     poset_to_dict,
     poset_to_dot,
+    principal_ideal,
 )
 from .sweep import ManifestError, WorkerPanic, _sphericity_witness, run_sweep
 from .zircon import (
@@ -92,16 +98,13 @@ def cmd_check(args) -> int:
     report: dict = {"poset": poset_to_dict(P), "matching_pairs": matching_pairs(M)}
     ok = True
 
-    matching_ok = is_matching(P, M)
-    report["matching"] = matching_ok
-    if not matching_ok:
-        report["special"] = None
-        report["witness"] = None
-        report["lifting"] = None
+    try:
+        verdict = is_special(P, M)
+    except MatchingError:
+        report.update(matching=False, special=None, witness=None, lifting=None)
         _emit_json(report, args.output)
         return EXIT_VIOLATION
-
-    verdict = is_special(P, M)
+    report["matching"] = True
     report["special"] = verdict.ok
     report["witness"] = list(verdict.witness) if verdict.witness else None
     if verdict.ok:
@@ -115,14 +118,15 @@ def cmd_check(args) -> int:
         ok = False
 
     if args.automorphism:
-        mapping = map_from_dict(_load_json(args.automorphism))
-        if not is_automorphism(P, mapping):
+        try:
+            phi = PosetMap(P, map_from_dict(_load_json(args.automorphism)))
+        except NotAutomorphismError:
             raise InputError("the supplied map is not an automorphism of the poset")
         if not verdict.ok:
             raise InputError("fixed-point construction requires a special matching")
         if not is_bounded(P):
             raise InputError("fixed-point construction requires a bounded poset")
-        fp = fixed_point_report(P, M, mapping)
+        fp = fixed_point_report(P, M, phi)
         report["fixed_point"] = fp
         if not fp["special"]:
             ok = False
@@ -154,23 +158,24 @@ def _coxeter_export(W, args) -> int:
 
 
 def _coxeter_zircon_check(W, args) -> int:
-    from .posets import principal_ideal
-
     B = W.bruhat_poset()
     witnesses = []
     count = 0
+    zircon = True
     for el in W.elements:
-        if el.length == 0:
+        if el.length == 0:  # e, the only minimal element of B
             continue
         ideal = principal_ideal(B, el.label)
+        special = False
         for side, descents in (("right", W.right_descents(el)), ("left", W.left_descents(el))):
             for s in descents:
                 count += 1
                 try:
                     descent_matching(W, el, s, side, ideal=ideal)
+                    special = True
                 except CoxeterError as exc:
                     witnesses.append([el.label, s, side, str(exc)])
-    zircon = is_zircon(B)
+        zircon = zircon and (special or has_special_matching(ideal))
     report = {
         "type": W.type_spec,
         "cardinality": len(W),
@@ -184,8 +189,6 @@ def _coxeter_zircon_check(W, args) -> int:
 
 
 def _coxeter_twisted(W, theta, args) -> int:
-    from .posets import induced_subposet
-
     B = W.bruhat_poset()
     tm = twisted_map(W, theta)
     fixed = induced_subposet(B, tm.fixed_points())

@@ -5,8 +5,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import zircons.cli
+from zircons import CoxeterError, build_coxeter, is_zircon, leq
 from zircons.cli import main
-from zircons.sweep import ManifestError, SweepReport, run_sweep, validate_manifest
+from zircons.sweep import (
+    ManifestError,
+    SweepReport,
+    _ideal_minimum_witness,
+    run_sweep,
+    validate_manifest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +216,28 @@ class TestCheckCommand:
         assert json.loads((tmp / "report.json").read_text())["matching"] is False
 
 
+def _ideal_minimum_walk(P):
+    """First non-minimal element whose principal ideal, built here from
+    ``leq``, has more than one minimal element."""
+    for x in P.elements:
+        ideal = [y for y in P.elements if leq(P, y, x)]
+        if len(ideal) == 1:
+            continue
+        minima = [y for y in ideal if not any(z != y and leq(P, z, y) for z in ideal)]
+        if len(minima) != 1:
+            return x
+    return None
+
+
+def test_ideal_minimum_witness_matches_ideal_walk(corpus_to_5):
+    """Read from the order rows, the witness is the one an ideal-building
+    walk finds, on zircons and non-zircons alike."""
+    witnesses = [_ideal_minimum_witness(P) for P in corpus_to_5]
+    assert witnesses == [_ideal_minimum_walk(P) for P in corpus_to_5]
+    assert any(w is None for w in witnesses) and any(w is not None for w in witnesses)
+    assert {is_zircon(P) for P in corpus_to_5} == {True, False}
+
+
 class TestSweepCommand:
     def test_exhaustive(self, files):
         tmp, write = files
@@ -275,6 +305,43 @@ class TestCoxeterCommand:
         assert rc == 0
         obj = json.loads((tmp / "z.json").read_text())
         assert obj["zircon"] and obj["all_descent_matchings_special"]
+
+    @pytest.mark.parametrize(
+        "type_spec", ["A2", "A3", "B2", "B3", *(f"I2:{m}" for m in range(3, 9))]
+    )
+    def test_zircon_check_verdict_is_is_zircon(self, files, type_spec):
+        tmp, _ = files
+        rc = main(["coxeter", type_spec, "zircon-check", "--output", str(tmp / "z.json")])
+        obj = json.loads((tmp / "z.json").read_text())
+        assert obj["zircon"] == is_zircon(build_coxeter(type_spec).bruhat_poset())
+        assert rc == (0 if obj["zircon"] and not obj["witnesses"] else 1)
+
+    def test_zircon_check_falls_back_to_the_search(self, files, monkeypatch):
+        """An ideal none of whose descent matchings passed is searched for a
+        special matching; the failures are reported as witnesses."""
+        tmp, _ = files
+        real_descent, real_search = zircons.cli.descent_matching, zircons.cli.has_special_matching
+        searched = []
+
+        def failing(W, el, s, side, ideal):
+            if el.label == "s1.s2.s1":
+                raise CoxeterError("injected failure")
+            return real_descent(W, el, s, side, ideal=ideal)
+
+        def search(ideal):
+            searched.append(len(ideal))
+            return real_search(ideal)
+
+        monkeypatch.setattr("zircons.cli.descent_matching", failing)
+        monkeypatch.setattr("zircons.cli.has_special_matching", search)
+        rc = main(["coxeter", "A3", "zircon-check", "--output", str(tmp / "z.json")])
+        obj = json.loads((tmp / "z.json").read_text())
+        assert rc == 1
+        assert obj["zircon"] and not obj["all_descent_matchings_special"]
+        assert sorted(w[:3] for w in obj["witnesses"]) == [
+            ["s1.s2.s1", s, side] for s in ("s1", "s2") for side in ("left", "right")
+        ]
+        assert searched == [6]  # the ideal of s1.s2.s1, a copy of A2
 
     def test_twisted(self, files):
         tmp, _ = files

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import zircons.matchings
@@ -20,11 +22,16 @@ from zircons import (
     is_special,
     is_zircon,
     is_zircon_ranked,
+    map_to_dict,
     matching_family,
     matching_pairs,
+    matching_to_dict,
     orbit_component,
     poset_to_dict,
+    theta_from_spec,
+    twisted_map,
 )
+from zircons.cli import main
 from zircons.posets import PosetMap, automorphisms
 from zircons.sweep import sweep_case
 
@@ -343,21 +350,29 @@ def test_family_members_special_and_components_exact(corpus_to_5, cube, a3):
     assert cases > 1000
 
 
+_MODULES = ("posets", "matchings", "zircon", "coxeter", "sweep", "cli")
+
+
+def _count_calls(monkeypatch, module, name):
+    """Sizes of the posets that ``module.name`` is run on, counted at every
+    module that could call it."""
+    seen = []
+    real = getattr(getattr(zircons, module), name)
+
+    def counting(P, *args, **kwargs):
+        seen.append(len(P))
+        return real(P, *args, **kwargs)
+
+    for binding in _MODULES:
+        monkeypatch.setattr(f"zircons.{binding}.{name}", counting, raising=False)
+    return seen
+
+
 @pytest.fixture()
 def check_calls(monkeypatch):
-    """Sizes of the posets that ``is_special`` and ``is_matching`` are run
-    on, counted at every module that could call them."""
-    calls = {"is_special": [], "is_matching": []}
-    for name, seen in calls.items():
-        real = getattr(zircons.matchings, name)
-
-        def counting(P, M, real=real, seen=seen):
-            seen.append(len(P))
-            return real(P, M)
-
-        for module in ("matchings", "zircon", "coxeter"):
-            monkeypatch.setattr(f"zircons.{module}.{name}", counting, raising=False)
-    return calls
+    """Sizes of the posets that ``is_special`` and ``is_matching`` are run on."""
+    return {name: _count_calls(monkeypatch, "matchings", name)
+            for name in ("is_special", "is_matching")}
 
 
 class TestChecksRunOnce:
@@ -401,3 +416,54 @@ class TestChecksRunOnce:
         assert cases and all(r["ok"] for r in cases)
         assert len(built) == len(cases)
         assert 3 in built  # the rotations are among the automorphisms
+
+    def test_check_validates_phi_once(self, check_calls, monkeypatch, tmp_path, a3):
+        M = descent_matching(a3, a3.longest_element(), "s2", "left")
+        phi = twisted_map(a3, theta_from_spec(a3, "flip"))
+        fixed = len(phi.fixed_points())
+        paths = []
+        for name, obj in (("p", poset_to_dict(a3.bruhat_poset())), ("m", matching_to_dict(M)),
+                          ("phi", map_to_dict(phi))):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(obj))
+        validated = []
+        real_init = PosetMap.__init__
+
+        def counting(self, source, image, *, _trusted_perm=None):
+            if _trusted_perm is None:
+                validated.append(len(source))
+            real_init(self, source, image, _trusted_perm=_trusted_perm)
+
+        check_calls["is_special"].clear()
+        check_calls["is_matching"].clear()
+        monkeypatch.setattr(PosetMap, "__init__", counting)
+        rc = main(["check", *map(str, paths), "--output", str(tmp_path / "report.json")])
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert rc == 0 and report["fixed_point"]["special"]
+        assert validated == [24]
+        # M by check itself, by verify_lifting and by matching_family; m_phi once
+        assert check_calls == {"is_special": [24, 24, 24, fixed],
+                               "is_matching": [24, 24, 24, fixed]}
+
+    def test_coxeter_zircon_check_builds_each_ideal_once(self, monkeypatch, tmp_path):
+        ideals = _count_calls(monkeypatch, "posets", "principal_ideal")
+        searched = _count_calls(monkeypatch, "matchings", "has_special_matching")
+        zircon = _count_calls(monkeypatch, "zircon", "is_zircon")
+        rc = main(["coxeter", "B3", "zircon-check", "--output", str(tmp_path / "z.json")])
+        assert rc == 0 and json.loads((tmp_path / "z.json").read_text())["zircon"]
+        assert len(ideals) == 47  # one per element of B3 but e
+        assert searched == [] and zircon == []
+
+    def test_definitions_agree_runs_is_zircon_once(self, monkeypatch, cube):
+        calls = _count_calls(monkeypatch, "zircon", "is_zircon")
+        assert definitions_agree(cube) and calls == [8]
+
+    @pytest.mark.parametrize("zircon", [True, False])
+    def test_sweep_case_runs_is_zircon_once(self, monkeypatch, cube, n_poset, zircon):
+        P = cube if zircon else n_poset
+        assert is_zircon(P) is zircon
+        subposets = [fixed_point_subposet(P, phi) for phi in automorphisms(P)] if zircon else []
+        calls = _count_calls(monkeypatch, "zircon", "is_zircon")
+        sweep_case({"poset_id": "p", "poset": poset_to_dict(P), "mode": "exhaustive", "cap": 100})
+        # once on P, then once on each fixed-point subposet of a zircon
+        assert calls == [len(P), *map(len, subposets)]
