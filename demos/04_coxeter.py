@@ -17,8 +17,8 @@ from zircons import (
 )
 from zircons.posets import induced_subposet
 
-# Groups are enumerated from concrete models: permutations for type A,
-# signed permutations for B/D, dihedral pairs for I2.
+# Every preset is a permutation group: A_n permutes 1..n+1, B_n and D_n
+# the 2n signed letters +-1..+-n, I2(m) the 2m roots of the dihedral group.
 for spec in ("A2", "A3", "B2", "B3", "D4", "I2:5"):
     W = build_coxeter(spec)
     print(f"{spec}: {len(W)} elements, longest word length {W.longest_element().length}")

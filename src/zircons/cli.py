@@ -189,12 +189,10 @@ def _coxeter_zircon_check(W, args) -> int:
 
 
 def _coxeter_twisted(W, theta, args) -> int:
-    B = W.bruhat_poset()
     tm = twisted_map(W, theta)
-    fixed = induced_subposet(B, tm.fixed_points())
     labels = [el.label for el in twisted_involutions(W, theta)]
-    induced = induced_subposet(B, labels)
-    equal = induced == fixed
+    induced = induced_subposet(W.bruhat_poset(), labels)
+    equal = labels == list(tm.fixed_points())  # both in element order
     zircon = is_zircon(induced)
     witness = _sphericity_witness(induced)
     sphericity = witness is None

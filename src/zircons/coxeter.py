@@ -1,11 +1,13 @@
-"""Finite Coxeter systems with concrete combinatorial models.
+"""Finite Coxeter systems as permutation groups.
 
-Presets: A_n as permutations of 1..n+1, B_n as signed permutations,
-D_n as even-signed permutations, I2(m) as the dihedral group of order 2m.
-Elements are enumerated breadth-first from the identity, so stored
-lengths are Cayley-graph distances by construction, and each element
-carries its ShortLex-minimal reduced word, which doubles as its label
-("e", "s1", "s2.s1", ...). Bruhat covers come from the reflection
+Every preset is a group of permutations of points 1..d, with one
+multiplication rule: A_n permutes 1..n+1; B_n and D_n permute the 2n
+signed letters +-1..+-n (signed and even-signed permutations); I2(m)
+permutes the 2m roots of the dihedral group of order 2m. Elements are
+enumerated breadth-first from the identity, so stored lengths are
+Cayley-graph distances by construction, and each element carries its
+ShortLex-minimal reduced word, which doubles as its label ("e", "s1",
+"s2.s1", ...). Bruhat covers come from the reflection
 criterion: v is covered by w exactly when v = w*t for a reflection t and
 the lengths differ by one.
 
@@ -51,7 +53,7 @@ class CoxeterError(ValueError):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One group element: concrete model, length, canonical reduced word."""
+    """One group element: permutation model, length, canonical reduced word."""
 
     model: tuple
     length: int
@@ -73,35 +75,54 @@ def _parse_type_spec(type_spec: str) -> tuple[str, int]:
     return family, rank
 
 
+def _permutation_model(family: str, rank: int) -> list[tuple[int, ...]]:
+    """The generators s1, s2, ... as permutations of the points 1..d,
+    each written as its tuple of images.
+
+    A_n permutes 1..n+1. B_n and D_n permute 2n points, point i standing
+    for +i and point n+i for -i. I2(m) permutes its 2m roots, point k+1
+    being the root at angle k*pi/m.
+    """
+    if family == "I2":  # s1 is k -> -k and s2 is k -> -2-k, mod 2m
+        d = 2 * rank
+        return [tuple((c - k) % d + 1 for k in range(d)) for c in (0, -2)]
+    if family == "A":
+        d = rank + 1
+        swaps = [[(i, i + 1)] for i in range(1, rank + 1)]
+    else:
+        d = 2 * rank
+        first = [(1, rank + 1)] if family == "B" else [(1, rank + 2), (2, rank + 1)]
+        swaps = [first] + [[(i - 1, i), (rank + i - 1, rank + i)] for i in range(2, rank + 1)]
+    generators = []
+    for pairs in swaps:
+        image = list(range(1, d + 1))
+        for p, q in pairs:
+            image[p - 1], image[q - 1] = q, p
+        generators.append(tuple(image))
+    return generators
+
+
 class CoxeterSystem:
-    """A fully enumerated finite Coxeter group of type A, B, D, or I2."""
+    """A fully enumerated finite Coxeter group of type A, B, D, or I2,
+    its elements modelled as permutations of the points 1..d."""
 
     def __init__(self, type_spec: str, order_cap: int = DEFAULT_ORDER_CAP):
         family, rank = _parse_type_spec(type_spec)
         self.type_spec = f"I2:{rank}" if family == "I2" else f"{family}{rank}"
         self.family = family
-        self.rank_param = rank
         if family == "A":
-            self._n_letters = rank + 1
             expected = math.factorial(rank + 1)
-            n_gens = rank
-        elif family == "B":
-            self._n_letters = rank
-            expected = 2**rank * math.factorial(rank)
-            n_gens = rank
-        elif family == "D":
-            self._n_letters = rank
-            expected = 2 ** (rank - 1) * math.factorial(rank)
-            n_gens = rank
-        else:
+        elif family == "I2":
             expected = 2 * rank
-            n_gens = 2
+        else:  # D_n has half of B_n's sign changes
+            expected = 2 ** (rank - (family == "D")) * math.factorial(rank)
         if expected > order_cap:
             raise CoxeterError(
                 f"group order {expected} exceeds the cap {order_cap}"
             )
-        self.generators = [f"s{i}" for i in range(1, n_gens + 1)]
-        self._gen_models = [self._generator_model(i) for i in range(1, n_gens + 1)]
+        self._gen_models = _permutation_model(family, rank)
+        self.generators = [f"s{i}" for i in range(1, len(self._gen_models) + 1)]
+        self._identity = tuple(range(1, len(self._gen_models[0]) + 1))
 
         lengths: dict[tuple, int] = {self.identity_model(): 0}
         frontier = [self.identity_model()]
@@ -155,71 +176,20 @@ class CoxeterSystem:
         self._bruhat: Optional[Poset] = None
         self._bruhat_lock = threading.Lock()
 
-    # -- concrete model arithmetic ------------------------------------------
+    # -- permutation arithmetic ---------------------------------------------
 
     def identity_model(self) -> tuple:
-        if self.family == "A":
-            return tuple(range(1, self._n_letters + 1))
-        if self.family in ("B", "D"):
-            return tuple(range(1, self._n_letters + 1))
-        return ("r", 0)
-
-    def _generator_model(self, i: int) -> tuple:
-        if self.family == "A":
-            base = list(range(1, self._n_letters + 1))
-            base[i - 1], base[i] = base[i], base[i - 1]
-            return tuple(base)
-        if self.family == "B":
-            base = list(range(1, self._n_letters + 1))
-            if i == 1:
-                base[0] = -1
-            else:
-                base[i - 2], base[i - 1] = base[i - 1], base[i - 2]
-            return tuple(base)
-        if self.family == "D":
-            base = list(range(1, self._n_letters + 1))
-            if i == 1:
-                base[0], base[1] = -2, -1
-            else:
-                base[i - 2], base[i - 1] = base[i - 1], base[i - 2]
-            return tuple(base)
-        return ("f", 0) if i == 1 else ("f", 1)
+        return self._identity
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         """Compose models: (a*b)(x) = a(b(x))."""
-        if self.family == "A":
-            return tuple(a[v - 1] for v in b)
-        if self.family in ("B", "D"):
-            return tuple(a[v - 1] if v > 0 else -a[-v - 1] for v in b)
-        m = self.rank_param
-        ta, ka = a
-        tb, kb = b
-        if ta == "r" and tb == "r":
-            return ("r", (ka + kb) % m)
-        if ta == "r":
-            return ("f", (ka + kb) % m)
-        if tb == "r":
-            return ("f", (ka - kb) % m)
-        return ("r", (ka - kb) % m)
+        return tuple([a[v - 1] for v in b])  # a list builds faster than a generator
 
     def inv(self, a: tuple) -> tuple:
-        if self.family == "A":
-            out = [0] * len(a)
-            for i, v in enumerate(a):
-                out[v - 1] = i + 1
-            return tuple(out)
-        if self.family in ("B", "D"):
-            out = [0] * len(a)
-            for i, v in enumerate(a):
-                if v > 0:
-                    out[v - 1] = i + 1
-                else:
-                    out[-v - 1] = -(i + 1)
-            return tuple(out)
-        ta, ka = a
-        if ta == "r":
-            return ("r", (-ka) % self.rank_param)
-        return a
+        out = [0] * len(a)
+        for i, v in enumerate(a, start=1):
+            out[v - 1] = i
+        return tuple(out)
 
     def _product_order(self, a: tuple, b: tuple) -> int:
         prod = self.mul(a, b)
@@ -358,8 +328,9 @@ def descent_matching(
 
 
 class DiagramAutomorphism:
-    """Involutive generator permutation preserving the Coxeter matrix,
-    extended to the whole group and verified to be a homomorphism."""
+    """Generator permutation preserving the Coxeter matrix, extended to
+    the whole group and verified to be a homomorphism. It need not be an
+    involution (D4 triality has order 3); ``twisted_map`` requires one."""
 
     def __init__(self, system: CoxeterSystem, generator_map: Mapping[str, str]):
         self.system = system
@@ -368,9 +339,6 @@ class DiagramAutomorphism:
             perm.setdefault(name, name)
         if set(perm) != set(system.generators) or set(perm.values()) != set(system.generators):
             raise CoxeterError("generator map must permute the generating set")
-        for a, b in perm.items():
-            if perm[b] != a:
-                raise CoxeterError("generator map must be an involution")
         n = len(system.generators)
         idx = {name: i for i, name in enumerate(system.generators)}
         for i in range(n):
@@ -454,6 +422,10 @@ def theta_from_spec(W: CoxeterSystem, spec: str) -> DiagramAutomorphism:
 
 def twisted_map(W: CoxeterSystem, theta: DiagramAutomorphism) -> PosetMap:
     """The Bruhat-poset involution w -> theta(w^-1), verified as such."""
+    if any(theta.generator_map[b] != a for a, b in theta.generator_map.items()):
+        raise CoxeterError(
+            f"the twisted map needs an involutive diagram automorphism, not {theta!r}"
+        )
     B = W.bruhat_poset()
     mapping = {
         el.label: W._by_model[theta.apply_model(W.inv(el.model))].label
@@ -467,16 +439,13 @@ def twisted_map(W: CoxeterSystem, theta: DiagramAutomorphism) -> PosetMap:
 
 
 def twisted_involutions(W: CoxeterSystem, theta: DiagramAutomorphism) -> list[GroupElement]:
-    """Elements with theta(w) = w^-1, in (length, word) order."""
-    out = [
+    """Elements with theta(w) = w^-1, in (length, word) order; for an
+    involutive theta, the fixed points of ``twisted_map``."""
+    return [
         el
         for el in W.elements
         if theta.apply_model(el.model) == W.inv(el.model)
     ]
-    fixed = set(twisted_map(W, theta).fixed_points())
-    if {el.label for el in out} != fixed:
-        raise CoxeterError("twisted involutions disagree with map fixed points; model bug")
-    return out
 
 
 def fix_subgroup_poset(W: CoxeterSystem, theta: DiagramAutomorphism) -> Poset:

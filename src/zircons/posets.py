@@ -241,16 +241,6 @@ class Poset:
         except KeyError:
             raise UnknownElementError(f"unknown element id {x!r}") from None
 
-    def upper_covers(self, x) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in self._up[self.index(x)])
-
-    def lower_covers(self, x) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in self._down[self.index(x)])
-
-    def hasse_neighbors(self, x) -> tuple[str, ...]:
-        i = self.index(x)
-        return tuple(self.elements[j] for j in sorted(self._down[i] + self._up[i]))
-
     def __len__(self) -> int:
         return len(self.elements)
 

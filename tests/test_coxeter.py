@@ -7,6 +7,7 @@ from zircons import (
     descent_matching,
     diagram_automorphism,
     fix_subgroup_poset,
+    fixed_point_matching,
     is_special,
     is_zircon,
     leq,
@@ -17,7 +18,9 @@ from zircons import (
     twisted_involutions,
     twisted_map,
 )
-from zircons.posets import induced_subposet
+from zircons.posets import PosetMap, induced_subposet
+
+TRIALITY = "s1:s2,s2:s4,s4:s1"
 
 
 class TestBuild:
@@ -67,6 +70,22 @@ class TestBuild:
     def test_coxeter_matrix(self, a3, b2):
         assert a3.coxeter_matrix == [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
         assert b2.coxeter_matrix == [[1, 4], [4, 1]]
+        assert build_coxeter("A4").coxeter_matrix == [
+            [1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]
+        ]
+        assert build_coxeter("B3").coxeter_matrix == [[1, 4, 2], [4, 1, 3], [2, 3, 1]]
+        # s3 is the central node of D4, joined to s1, s2 and s4
+        assert build_coxeter("D4").coxeter_matrix == [
+            [1, 2, 3, 2], [2, 1, 3, 2], [3, 3, 1, 3], [2, 2, 3, 1]
+        ]
+        for m in range(2, 9):
+            assert build_coxeter(f"I2:{m}").coxeter_matrix == [[1, m], [m, 1]]
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "I2:6"])
+    def test_inverse(self, spec):
+        W = build_coxeter(spec)
+        for el in W.elements:
+            assert W.mul(W.inv(el.model), el.model) == W.identity_model()
 
     def test_invalid_specs(self):
         for bad in ("Z3", "A0", "I2:1", "B1", ""):
@@ -183,6 +202,25 @@ class TestDiagramAutomorphism:
         with pytest.raises(CoxeterError):
             diagram_automorphism(a3, {"s1": "s2", "s2": "s3", "s3": "s1"})
 
+    def test_d4_triality(self):
+        # not an involution, so only the twisted map rejects it
+        W = build_coxeter("D4")
+        theta = theta_from_spec(W, TRIALITY)
+        assert [theta.apply_label(s) for s in ("s1", "s2", "s3", "s4")] == ["s2", "s4", "s3", "s1"]
+        fixed = fix_subgroup_poset(W, theta)
+        assert len(fixed) == 12 and is_zircon(fixed)
+        with pytest.raises(CoxeterError, match="involutive"):
+            twisted_map(W, theta)
+
+    def test_d4_triality_fixed_point_construction(self):
+        W = build_coxeter("D4")
+        theta = theta_from_spec(W, TRIALITY)
+        B = W.bruhat_poset()
+        phi = PosetMap(B, {x: theta.apply_label(x) for x in B.elements})
+        M = descent_matching(W, W.longest_element(), "s3", "right")
+        assert phi.order() == 3
+        assert len(fixed_point_matching(B, M, phi)) == 12
+
     def test_explicit_map_spec(self, a3):
         theta = theta_from_spec(a3, "s1:s3,s3:s1")
         assert theta.generator_map == {"s1": "s3", "s2": "s2", "s3": "s1"}
@@ -228,6 +266,20 @@ class TestTwisted:
         assert {el.label for el in twisted_involutions(a2, theta_from_spec(a2, "id"))} == brute(a2)
         got = twisted_involutions(a3, theta_from_spec(a3, "id"))
         assert len(got) == 10 and {el.label for el in got} == brute(a3)
+
+    @pytest.mark.parametrize(
+        "spec,theta",
+        [
+            *((f"A{n}", theta) for n in (2, 3, 4) for theta in ("id", "flip")),
+            ("B2", "id"), ("B3", "id"), ("B4", "id"),
+            ("D4", "flip"), ("I2:5", "flip"), ("I2:6", "flip"),
+        ],
+    )
+    def test_twisted_involutions_are_the_map_fixed_points(self, spec, theta):
+        W = build_coxeter(spec)
+        theta = theta_from_spec(W, theta)
+        labels = [el.label for el in twisted_involutions(W, theta)]
+        assert labels == list(twisted_map(W, theta).fixed_points())
 
     def test_generators_are_twisted_involutions(self, a3):
         labels = {el.label for el in twisted_involutions(a3, theta_from_spec(a3, "id"))}

@@ -369,6 +369,18 @@ class TestCoxeterCommand:
         obj = json.loads((tmp / "f.json").read_text())
         assert obj["isomorphic"] and obj["cardinality"] == [8, 8]
 
+    def test_fix_check_triality_against_g2(self, files):
+        tmp, _ = files
+        out = tmp / "f.json"
+        rc = main(["coxeter", "D4", "fix-check", "s1:s2,s2:s4,s4:s1", "--against", "I2:6",
+                   "--output", str(out)])
+        obj = json.loads(out.read_text())
+        assert rc == 0 and obj["isomorphic"] and obj["cardinality"] == [12, 12]
+
+    def test_twisted_needs_involution(self, files, capsys):
+        assert main(["coxeter", "D4", "twisted", "s1:s2,s2:s4,s4:s1"]) == 2
+        assert "needs an involutive diagram automorphism" in capsys.readouterr().err
+
     def test_fix_check_needs_against(self, files):
         assert main(["coxeter", "A3", "fix-check", "flip"]) == 2
 

@@ -375,6 +375,21 @@ def check_calls(monkeypatch):
             for name in ("is_special", "is_matching")}
 
 
+@pytest.fixture()
+def validated_maps(monkeypatch):
+    """Sizes of the posets that a ``PosetMap`` is validated on."""
+    validated = []
+    real_init = PosetMap.__init__
+
+    def counting(self, source, image, *, _trusted_perm=None):
+        if _trusted_perm is None:
+            validated.append(len(source))
+        real_init(self, source, image, _trusted_perm=_trusted_perm)
+
+    monkeypatch.setattr(PosetMap, "__init__", counting)
+    return validated
+
+
 class TestChecksRunOnce:
     """Each public call checks its input once and its result once."""
 
@@ -417,7 +432,7 @@ class TestChecksRunOnce:
         assert len(built) == len(cases)
         assert 3 in built  # the rotations are among the automorphisms
 
-    def test_check_validates_phi_once(self, check_calls, monkeypatch, tmp_path, a3):
+    def test_check_validates_phi_once(self, check_calls, validated_maps, tmp_path, a3):
         M = descent_matching(a3, a3.longest_element(), "s2", "left")
         phi = twisted_map(a3, theta_from_spec(a3, "flip"))
         fixed = len(phi.fixed_points())
@@ -426,24 +441,25 @@ class TestChecksRunOnce:
                           ("phi", map_to_dict(phi))):
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(json.dumps(obj))
-        validated = []
-        real_init = PosetMap.__init__
-
-        def counting(self, source, image, *, _trusted_perm=None):
-            if _trusted_perm is None:
-                validated.append(len(source))
-            real_init(self, source, image, _trusted_perm=_trusted_perm)
-
         check_calls["is_special"].clear()
         check_calls["is_matching"].clear()
-        monkeypatch.setattr(PosetMap, "__init__", counting)
+        validated_maps.clear()
         rc = main(["check", *map(str, paths), "--output", str(tmp_path / "report.json")])
         report = json.loads((tmp_path / "report.json").read_text())
         assert rc == 0 and report["fixed_point"]["special"]
-        assert validated == [24]
+        assert validated_maps == [24]
         # M by check itself, by verify_lifting and by matching_family; m_phi once
         assert check_calls == {"is_special": [24, 24, 24, fixed],
                                "is_matching": [24, 24, 24, fixed]}
+
+    def test_coxeter_twisted_builds_the_map_once(self, validated_maps, monkeypatch, tmp_path):
+        induced = _count_calls(monkeypatch, "posets", "induced_subposet")
+        rc = main(["coxeter", "B4", "twisted", "id", "--output", str(tmp_path / "t.json")])
+        report = json.loads((tmp_path / "t.json").read_text())
+        assert rc == 0 and report["equals_fixed_point_subposet"]
+        assert validated_maps == [384]  # the twisted map on the whole of B4
+        assert induced == [384]  # the twisted involutions, taken from B4 once
+        assert report["cardinality"] == 76
 
     def test_coxeter_zircon_check_builds_each_ideal_once(self, monkeypatch, tmp_path):
         ideals = _count_calls(monkeypatch, "posets", "principal_ideal")
