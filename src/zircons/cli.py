@@ -5,8 +5,10 @@ checks pass, 1 when a verification fails (the report carries a witness),
 2 on malformed input or violated preconditions, 3 when a sweep worker
 dies (the offending poset is serialized for reproduction).
 
-``coxeter T zircon-check`` takes its zircon verdict from the descent matchings
-it checks on each principal ideal; only an ideal where none passed is searched.
+``coxeter T zircon-check`` checks the descent matching of every (w, s, side)
+in one pass over the whole Bruhat order per generator and side, and takes its
+zircon verdict from them; only the ideal of an element none of whose descent
+matchings passed is built and searched.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from pathlib import Path
 from . import __version__
 from .coxeter import (
     CoxeterError,
+    _check_descent,
     build_coxeter,
-    descent_matching,
     fix_subgroup_poset,
     theta_from_spec,
     twisted_involutions,
@@ -159,23 +161,23 @@ def _coxeter_export(W, args) -> int:
 
 def _coxeter_zircon_check(W, args) -> int:
     B = W.bruhat_poset()
+    passes: dict = {}
     witnesses = []
     count = 0
     zircon = True
     for el in W.elements:
         if el.length == 0:  # e, the only minimal element of B
             continue
-        ideal = principal_ideal(B, el.label)
         special = False
         for side, descents in (("right", W.right_descents(el)), ("left", W.left_descents(el))):
             for s in descents:
                 count += 1
                 try:
-                    descent_matching(W, el, s, side, ideal=ideal)
+                    _check_descent(W, el, s, side, passes)
                     special = True
                 except CoxeterError as exc:
                     witnesses.append([el.label, s, side, str(exc)])
-        zircon = zircon and (special or has_special_matching(ideal))
+        zircon = zircon and (special or has_special_matching(principal_ideal(B, el.label)))
     report = {
         "type": W.type_spec,
         "cardinality": len(W),

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .matchings import MatchingError, is_special
-from .posets import Poset, PosetMap, build_poset, induced_subposet
+from .posets import Poset, PosetMap, _bits, build_poset, induced_subposet
 
 __all__ = [
     "CoxeterError",
@@ -174,7 +173,6 @@ class CoxeterSystem:
                     self._gen_models[i], self._gen_models[j]
                 )
         self._bruhat: Optional[Poset] = None
-        self._bruhat_lock = threading.Lock()
 
     # -- permutation arithmetic ---------------------------------------------
 
@@ -258,17 +256,16 @@ class CoxeterSystem:
 
     def bruhat_poset(self) -> Poset:
         """The Bruhat order on the whole group, built once and cached."""
-        with self._bruhat_lock:
-            if self._bruhat is None:
-                covers = []
-                for el in self.elements:
-                    for t in self.reflections:
-                        v = self.mul(el.model, t)
-                        if self._lengths[v] == el.length - 1:
-                            covers.append((self._by_model[v].label, el.label))
-                labels = [el.label for el in self.elements]
-                self._bruhat = build_poset(labels, covers, mode="covers")
-            return self._bruhat
+        if self._bruhat is None:
+            covers = []
+            for el in self.elements:
+                for t in self.reflections:
+                    v = self.mul(el.model, t)
+                    if self._lengths[v] == el.length - 1:
+                        covers.append((self._by_model[v].label, el.label))
+            labels = [el.label for el in self.elements]
+            self._bruhat = build_poset(labels, covers, mode="covers")
+        return self._bruhat
 
 
 def build_coxeter(type_spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> CoxeterSystem:
@@ -325,6 +322,72 @@ def descent_matching(
     if not verdict:
         raise CoxeterError(f"descent matching not special at {verdict.witness}; model bug")
     return mapping
+
+
+def _descent_pass(W: CoxeterSystem, s, side: str) -> tuple[list[int], int, int, list[tuple[int, int]]]:
+    """Multiplication by s on the whole Bruhat order, checked once.
+
+    Returns the index map x -> xs (or sx), the mask of the elements it
+    lowers, the mask of the elements whose pair is not a Hasse edge of a
+    fixed-point-free involution, and the covers that fail the special
+    condition, in ``covers`` order.
+    """
+    B = W.bruhat_poset()  # indexed like W.elements
+    g = W.gen_model(s)
+    perm = [
+        B._index[W._by_model[W.mul(el.model, g) if side == "right" else W.mul(g, el.model)].label]
+        for el in W.elements
+    ]
+    below, up, down = B._below, B._up, B._down
+    lower = bad = 0
+    failing = []
+    for x, y in enumerate(perm):
+        if below[x] >> y & 1:
+            lower |= 1 << x
+        if perm[y] != x or (y not in up[x] and y not in down[x]):
+            bad |= 1 << x
+        for q in up[x]:  # the covers (x, q), in covers order
+            mq = perm[q]
+            if y != q and not below[mq] >> y & 1:
+                failing.append((x, q))
+    return perm, lower, bad, failing
+
+
+def _check_descent(W: CoxeterSystem, w: GroupElement, s, side: str, passes: dict) -> None:
+    """``descent_matching(W, w, s, side)`` without building the ideal.
+
+    Raises the same ``CoxeterError`` for the same first offender, or
+    returns None. The ideal [e, w] is the bitset ``below[w] | 1 << w``;
+    it is convex, so its covers are the Bruhat covers inside it, and each
+    check is read off the ``_descent_pass`` of (s, side), cached in
+    ``passes``.
+    """
+    if (s, side) not in passes:
+        passes[s, side] = _descent_pass(W, s, side)
+    perm, lower, bad, failing = passes[s, side]
+    B = W.bruhat_poset()
+    labels = B.elements
+    i = B._index[w.label]
+    if W.elements[perm[i]].length >= w.length:
+        raise CoxeterError(f"{s!r} is not a {side} descent of {w.label!r}")
+    ideal = B._below[i] | 1 << i
+    # An element that s lowers stays in the downset, so only the others
+    # can leave it. Where the pairs inside are a fixed-point-free
+    # involution, the lowered elements map one to one into the others;
+    # equal counts make that map onto them, and then nothing leaves.
+    if ideal & bad or 2 * (ideal & lower).bit_count() != ideal.bit_count():
+        for x in _bits(ideal & ~lower):
+            if not ideal >> perm[x] & 1:
+                raise CoxeterError(
+                    f"descent image {labels[perm[x]]!r} leaves the ideal of {w.label!r}; model bug"
+                )
+    if ideal & bad:
+        raise CoxeterError("descent map is not a matching; model bug")
+    for p, q in failing:
+        if ideal >> q & 1:
+            raise CoxeterError(
+                f"descent matching not special at {(labels[p], labels[q])}; model bug"
+            )
 
 
 class DiagramAutomorphism:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
-from .posets import Poset, UnknownElementError, leq
+from .posets import Poset, UnknownElementError
 
 __all__ = [
     "MatchingError",
@@ -82,12 +82,13 @@ def is_special(P: Poset, M: Mapping) -> Verdict:
     mapping = _as_mapping(M)
     if not is_matching(P, mapping):
         raise MatchingError("input is not a matching on the poset")
+    index, below = P._index, P._below
     for p, q in P.covers:
         mp = mapping[p]
         if mp == q:
             continue
         mq = mapping[q]
-        if not (mp != mq and leq(P, mp, mq)):
+        if not below[index[mq]] >> index[mp] & 1:  # the strict M(p) < M(q)
             return Verdict(False, (p, q), "M(p) != q and not M(p) < M(q)")
     return Verdict(True)
 

@@ -5,16 +5,16 @@ JSON round-trips are uniform). A poset keeps one representation of its
 order: bit ``i`` of the Python int ``_below[j]`` is set iff ``i < j``,
 next to the cover adjacency that the sorted ``covers`` tuple lists.
 Arbitrary-precision ints cannot wrap, so the order is exact at every
-size. Instances are immutable after construction and all operations are
-pure, so they are safe to share across threads. Only finite posets are
-representable, hence local-finiteness hypotheses hold vacuously
-throughout.
+size. An instance's order never changes after construction; the only
+state it gains is the Mobius memo, which takes no lock: sweeps run in
+worker processes and send plain dict payloads, so no instance is shared
+between threads. Only finite posets are representable, hence
+local-finiteness hypotheses hold vacuously throughout.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
@@ -142,7 +142,6 @@ class Poset:
         "_minimals",
         "_maximals",
         "_mobius_cols",
-        "_mobius_lock",
     )
 
     def __init__(self, elements: Iterable, covers: Iterable, *, _relations: bool = False):
@@ -189,7 +188,6 @@ class Poset:
         self._topo = tuple(sorted(range(n), key=lambda i: (below[i].bit_count(), i)))
         self._rank = self._compute_rank()
         self._mobius_cols: dict[int, dict[int, int]] = {}
-        self._mobius_lock = threading.Lock()
 
     def _compute_rank(self) -> Optional[tuple[int, ...]]:
         n = len(self.elements)
@@ -436,19 +434,18 @@ def mobius(P: Poset, x, y) -> int:
     below = P._below
     if not (ix == iy or below[iy] >> ix & 1):
         raise NotComparableError(f"{x!r} is not below {y!r}")
-    with P._mobius_lock:
-        col = P._mobius_cols.setdefault(ix, {ix: 1})
-        if iy not in col:
-            members = [
-                z
-                for z in P._topo
-                if (z == ix or below[z] >> ix & 1) and (z == iy or below[iy] >> z & 1)
-            ]
-            for pos, z in enumerate(members):
-                if z in col:
-                    continue
-                col[z] = -sum(col[w] for w in members[:pos] if below[z] >> w & 1)
-        return col[iy]
+    col = P._mobius_cols.setdefault(ix, {ix: 1})
+    if iy not in col:
+        members = [
+            z
+            for z in P._topo
+            if (z == ix or below[z] >> ix & 1) and (z == iy or below[iy] >> z & 1)
+        ]
+        for pos, z in enumerate(members):
+            if z in col:
+                continue
+            col[z] = -sum(col[w] for w in members[:pos] if below[z] >> w & 1)
+    return col[iy]
 
 
 def is_bounded(P: Poset) -> bool:

@@ -4,6 +4,7 @@ from zircons import (
     CoxeterError,
     are_isomorphic,
     build_coxeter,
+    build_poset,
     descent_matching,
     diagram_automorphism,
     fix_subgroup_poset,
@@ -18,6 +19,7 @@ from zircons import (
     twisted_involutions,
     twisted_map,
 )
+from zircons.coxeter import _check_descent
 from zircons.posets import PosetMap, induced_subposet
 
 TRIALITY = "s1:s2,s2:s4,s4:s1"
@@ -175,6 +177,99 @@ class TestDescentMatching:
     def test_non_descent_rejected(self, a2):
         with pytest.raises(CoxeterError):
             descent_matching(a2, "s1", "s2", "right")
+
+
+def _swap_s1_s2(W, monkeypatch):
+    real = W.gen_model
+    monkeypatch.setattr(W, "gen_model", lambda s: real({"s1": "s2", "s2": "s1"}.get(s, s)))
+
+
+def _s1_as_a_reflection(W, monkeypatch):
+    """s1 multiplies by a reflection of length 3, which is not a simple one."""
+    real = W.gen_model
+    t = next(el.model for el in W.elements if el.length == 3 and el.model in W.reflections)
+    monkeypatch.setattr(W, "gen_model", lambda s: t if s == "s1" else real(s))
+
+
+def _s1_s2_swapped_in_lookup(W, monkeypatch):
+    """Looking up a product finds s2 for s1 and s1 for s2: the descent maps
+    stay along Hasse edges but stop being involutions."""
+    s1, s2 = W.element("s1"), W.element("s2")
+    monkeypatch.setitem(W._by_model, s1.model, s2)
+    monkeypatch.setitem(W._by_model, s2.model, s1)
+
+
+def _s1_as_a_rotation(W, monkeypatch):
+    """s1 multiplies by s1 s_j for a neighbour s_j in the diagram, an element
+    of even length that is not an involution."""
+    real = W.gen_model
+    j = next(j for j, m in enumerate(W.coxeter_matrix[0]) if m >= 3)
+    r = W.mul(real("s1"), W._gen_models[j])
+    monkeypatch.setattr(W, "gen_model", lambda s: r if s == "s1" else real(s))
+
+
+def _weak_order_as_bruhat(W, monkeypatch):
+    """The right weak order in place of the Bruhat order."""
+    covers = []
+    for el in W.elements:
+        for g in W._gen_models:
+            up = W.element(W.mul(el.model, g))
+            if up.length > el.length:
+                covers.append((el.label, up.label))
+    weak = build_poset([el.label for el in W.elements], covers)
+    monkeypatch.setattr(W, "bruhat_poset", lambda: weak)
+
+
+class TestDescentPass:
+    """``_check_descent`` reads every descent matching off one pass over the
+    whole Bruhat order per generator; ``descent_matching`` on the built
+    ideal is its oracle, for every (w, s, side), under injected faults too."""
+
+    @staticmethod
+    def _verdicts(W, check):
+        out = []
+        for el in W.elements:
+            for side in ("right", "left"):
+                for s in W.generators:
+                    try:
+                        check(el, s, side)
+                        out.append(None)
+                    except CoxeterError as exc:
+                        out.append(str(exc))
+        return out
+
+    @pytest.mark.parametrize("type_spec", ["A3", "B3", "D4", "I2:6"])
+    @pytest.mark.parametrize(
+        "fault,kinds",
+        [
+            (None, {"is not a"}),
+            (_swap_s1_s2, {"is not a"}),
+            (_s1_as_a_reflection, {"is not a", "leaves the ideal", "not a matching"}),
+            (_s1_as_a_rotation, {"is not a", "leaves the ideal", "not a matching"}),
+            (_s1_s2_swapped_in_lookup, {"is not a", "leaves the ideal", "not a matching"}),
+            (_weak_order_as_bruhat,
+             {"is not a", "leaves the ideal", "not a matching", "not special at"}),
+        ],
+    )
+    def test_per_generator_equals_per_ideal(self, monkeypatch, type_spec, fault, kinds):
+        W = build_coxeter(type_spec)
+        W.bruhat_poset()  # built before the fault
+        if fault:
+            fault(W, monkeypatch)
+        B = W.bruhat_poset()
+
+        def per_ideal(el, s, side):
+            descent_matching(W, el, s, side, ideal=principal_ideal(B, el.label))
+
+        passes = {}
+        got = self._verdicts(W, lambda el, s, side: _check_descent(W, el, s, side, passes))
+        want = self._verdicts(W, per_ideal)
+        assert got == want
+        assert {k for k in kinds for msg in want if msg and k in msg} == kinds
+        if fault is None:  # every descent matching is special
+            assert want.count(None) == sum(
+                len(W.right_descents(el)) + len(W.left_descents(el)) for el in W.elements
+            )
 
 
 class TestDiagramAutomorphism:

@@ -320,19 +320,19 @@ class TestCoxeterCommand:
         """An ideal none of whose descent matchings passed is searched for a
         special matching; the failures are reported as witnesses."""
         tmp, _ = files
-        real_descent, real_search = zircons.cli.descent_matching, zircons.cli.has_special_matching
+        real_descent, real_search = zircons.cli._check_descent, zircons.cli.has_special_matching
         searched = []
 
-        def failing(W, el, s, side, ideal):
+        def failing(W, el, s, side, passes):
             if el.label == "s1.s2.s1":
                 raise CoxeterError("injected failure")
-            return real_descent(W, el, s, side, ideal=ideal)
+            return real_descent(W, el, s, side, passes)
 
         def search(ideal):
             searched.append(len(ideal))
             return real_search(ideal)
 
-        monkeypatch.setattr("zircons.cli.descent_matching", failing)
+        monkeypatch.setattr("zircons.cli._check_descent", failing)
         monkeypatch.setattr("zircons.cli.has_special_matching", search)
         rc = main(["coxeter", "A3", "zircon-check", "--output", str(tmp / "z.json")])
         obj = json.loads((tmp / "z.json").read_text())
@@ -342,6 +342,21 @@ class TestCoxeterCommand:
             ["s1.s2.s1", s, side] for s in ("s1", "s2") for side in ("left", "right")
         ]
         assert searched == [6]  # the ideal of s1.s2.s1, a copy of A2
+
+    def test_zircon_check_d5(self, files):
+        """D5 (1920 elements), once killed at its benchmark limit: rank x |W|
+        descent matchings, each one special, and no ideal searched."""
+        tmp, _ = files
+        rc = main(["coxeter", "D5", "zircon-check", "--output", str(tmp / "z.json")])
+        assert rc == 0
+        assert json.loads((tmp / "z.json").read_text()) == {
+            "type": "D5",
+            "cardinality": 1920,
+            "zircon": True,
+            "descent_matchings_checked": 9600,
+            "all_descent_matchings_special": True,
+            "witnesses": [],
+        }
 
     def test_twisted(self, files):
         tmp, _ = files
