@@ -47,8 +47,10 @@ flip = PosetMap(
 print("base matching:", matching_pairs(M))
 family = matching_family(P, M, flip)
 print("automorphism order:", family.order)
+# The members are index tuples: member[i] is the index matched to element i.
 for k, member in enumerate(family.members, start=1):
-    print(f"conjugate M_{k}:", matching_pairs(member))
+    labels = {P.elements[i]: P.elements[j] for i, j in enumerate(member)}
+    print(f"conjugate M_{k}:", matching_pairs(labels))
 
 # The two conjugates connect the whole hexagon into one component.
 component = orbit_component(P, family, "e")

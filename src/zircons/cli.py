@@ -232,22 +232,19 @@ def _coxeter_fix_check(W, theta, args) -> int:
 
 
 def cmd_coxeter(args) -> int:
-    try:
-        W = build_coxeter(args.type_spec)
-        theta = theta_from_spec(W, args.theta)
-    except CoxeterError as exc:
-        raise InputError(str(exc))
+    # a CoxeterError is malformed input: main reports it and exits 2
+    W = build_coxeter(args.type_spec)
+    if args.action == "twisted":
+        return _coxeter_twisted(W, theta_from_spec(W, args.theta), args)
+    if args.action == "fix-check":
+        return _coxeter_fix_check(W, theta_from_spec(W, args.theta), args)
+    # the other actions use no diagram automorphism, so they build none
+    if args.theta.strip() != "id":
+        raise InputError(f"{args.action} takes no diagram automorphism, not {args.theta!r}")
     if args.action == "export":
         return _coxeter_export(W, args)
     if args.action == "zircon-check":
         return _coxeter_zircon_check(W, args)
-    if args.action == "twisted":
-        return _coxeter_twisted(W, theta, args)
-    if args.action == "fix-check":
-        try:
-            return _coxeter_fix_check(W, theta, args)
-        except CoxeterError as exc:
-            raise InputError(str(exc))
     raise InputError(f"unknown action {args.action!r}")
 
 

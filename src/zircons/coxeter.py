@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .matchings import MatchingError, is_special
+from .matchings import MatchingError, _failing_covers, is_special
 from .posets import Poset, PosetMap, _bits, build_poset, induced_subposet
 
 __all__ = [
@@ -340,17 +340,12 @@ def _descent_pass(W: CoxeterSystem, s, side: str) -> tuple[list[int], int, int, 
     ]
     below, up, down = B._below, B._up, B._down
     lower = bad = 0
-    failing = []
     for x, y in enumerate(perm):
         if below[x] >> y & 1:
             lower |= 1 << x
         if perm[y] != x or (y not in up[x] and y not in down[x]):
             bad |= 1 << x
-        for q in up[x]:  # the covers (x, q), in covers order
-            mq = perm[q]
-            if y != q and not below[mq] >> y & 1:
-                failing.append((x, q))
-    return perm, lower, bad, failing
+    return perm, lower, bad, list(_failing_covers(B, perm))
 
 
 def _check_descent(W: CoxeterSystem, w: GroupElement, s, side: str, passes: dict) -> None:

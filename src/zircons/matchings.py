@@ -4,15 +4,17 @@ A matching is a fixed-point-free involution pairing each element with one
 of its Hasse neighbors. It is special when for every cover p < q either
 M(p) = q or M(p) < M(q). Enumeration is exponential in the worst case, so
 it is guarded by a configurable cap; hitting the cap raises rather than
-silently truncating.
+silently truncating. Inside the library a matching is a ``partner`` tuple,
+``partner[i]`` the index matched to element i; each public function takes
+and returns label dicts, converted once at its boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .posets import Poset, UnknownElementError
+from .posets import Poset, UnknownElementError, _bits
 
 __all__ = [
     "MatchingError",
@@ -53,52 +55,58 @@ class Verdict:
         return self.ok
 
 
-def _as_mapping(M: Mapping) -> dict[str, str]:
-    return {str(k): str(v) for k, v in M.items()}
+def _partner(P: Poset, M: Mapping) -> Optional[tuple[int, ...]]:
+    """The index form of M, ``partner[i]`` the index matched to i, or None
+    unless M is total and each pair a Hasse edge matched both ways."""
+    index, up = P._index, P._up
+    try:
+        pairs = {index[str(k)]: index[str(v)] for k, v in M.items()}
+    except KeyError:
+        raise UnknownElementError("matching references unknown ids") from None
+    if len(pairs) == len(P) and all(pairs[j] == i and (j in up[i] or i in up[j])
+                                    for i, j in pairs.items()):
+        return tuple(pairs[i] for i in range(len(P)))
+    return None
+
+
+def _failing_covers(P: Poset, partner: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The covers p < q with M(p) != q and not M(p) < M(q), as index pairs
+    in ``covers`` order (the covers are sorted by index pair)."""
+    below = P._below
+    for p, ups in enumerate(P._up):
+        mp = partner[p]
+        for q in ups:
+            if mp != q and not below[partner[q]] >> mp & 1:
+                yield p, q
+
+
+def _labels(P: Poset, partner: Sequence[int]) -> dict[str, str]:
+    return {P.elements[i]: P.elements[j] for i, j in enumerate(partner)}
 
 
 def is_matching(P: Poset, M: Mapping) -> bool:
     """Check all matching invariants: total, involutive, fixed-point-free,
     and every pair a Hasse edge."""
-    mapping = _as_mapping(M)
-    for k, v in mapping.items():
-        if k not in P or v not in P:
-            raise UnknownElementError("matching references unknown ids")
-    if set(mapping) != set(P.elements):
-        return False
-    for p, q in mapping.items():
-        if q == p:
-            return False
-        if mapping[q] != p:
-            return False
-        i, j = P.index(p), P.index(q)
-        if j not in P._up[i] and j not in P._down[i]:
-            return False
-    return True
+    return _partner(P, M) is not None
 
 
 def is_special(P: Poset, M: Mapping) -> Verdict:
     """Special test; the witness is the first violating cover (p, q)."""
-    mapping = _as_mapping(M)
-    if not is_matching(P, mapping):
+    partner = _partner(P, M)
+    if partner is None:
         raise MatchingError("input is not a matching on the poset")
-    index, below = P._index, P._below
-    for p, q in P.covers:
-        mp = mapping[p]
-        if mp == q:
-            continue
-        mq = mapping[q]
-        if not below[index[mq]] >> index[mp] & 1:  # the strict M(p) < M(q)
-            return Verdict(False, (p, q), "M(p) != q and not M(p) < M(q)")
+    for p, q in _failing_covers(P, partner):  # the first one, if any
+        return Verdict(False, (P.elements[p], P.elements[q]), "M(p) != q and not M(p) < M(q)")
     return Verdict(True)
 
 
-def iter_special_matchings(P: Poset) -> Iterator[dict[str, str]]:
-    """Depth-first enumeration of all special matchings.
+def _special_partners(P: Poset, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Depth-first enumeration of all special matchings, in index form.
 
     The smallest unmatched element (in element order) is paired with each
     of its Hasse neighbors in turn; a branch is abandoned as soon as a
-    fully decided cover violates the special condition.
+    fully decided cover violates the special condition. Finding more than
+    ``limit`` matchings raises SearchLimitError.
     """
     n = len(P)
     if n % 2 == 1:
@@ -124,12 +132,12 @@ def iter_special_matchings(P: Poset) -> Iterator[dict[str, str]]:
                 return False
         return True
 
-    def extend(lo: int) -> Iterator[dict[str, str]]:
+    def extend(lo: int) -> Iterator[tuple[int, ...]]:
         i = lo
         while i < n and partner[i] != -1:
             i += 1
         if i == n:
-            yield {P.elements[a]: P.elements[b] for a, b in enumerate(partner)}
+            yield tuple(partner)
             return
         for j in neighbors[i]:
             if partner[j] != -1:
@@ -141,7 +149,15 @@ def iter_special_matchings(P: Poset) -> Iterator[dict[str, str]]:
             partner[i] = -1
             partner[j] = -1
 
-    yield from extend(0)
+    for count, found in enumerate(extend(0), start=1):
+        if limit is not None and count > limit:
+            raise SearchLimitError(f"more than {limit} special matchings; raise the cap")
+        yield found
+
+
+def iter_special_matchings(P: Poset) -> Iterator[dict[str, str]]:
+    """Lazy enumeration of all special matchings, in deterministic search order."""
+    yield from (_labels(P, partner) for partner in _special_partners(P))
 
 
 def enumerate_special_matchings(P: Poset, limit: int = DEFAULT_MATCHING_LIMIT) -> list[dict[str, str]]:
@@ -149,16 +165,25 @@ def enumerate_special_matchings(P: Poset, limit: int = DEFAULT_MATCHING_LIMIT) -
 
     Raises SearchLimitError when more than ``limit`` matchings exist.
     """
-    out: list[dict[str, str]] = []
-    for m in iter_special_matchings(P):
-        out.append(m)
-        if len(out) > limit:
-            raise SearchLimitError(f"more than {limit} special matchings; raise the cap")
-    return out
+    return [_labels(P, partner) for partner in _special_partners(P, limit)]
 
 
 def has_special_matching(P: Poset) -> bool:
-    return next(iter_special_matchings(P), None) is not None
+    return next(_special_partners(P), None) is not None
+
+
+def _lifting(P: Poset, partner: Sequence[int]) -> Verdict:
+    """``verify_lifting`` on a special matching in index form."""
+    below, labels = P._below, P.elements
+    for yi, my in enumerate(partner):
+        if below[yi] >> my & 1:  # M(y) < y
+            for xi in _bits(below[yi]):
+                mx = partner[xi]
+                if not (mx == yi or below[yi] >> mx & 1):
+                    return Verdict(False, (labels[xi], labels[yi]), "M(x) not <= y")
+                if below[xi] >> mx & 1 and not below[my] >> mx & 1:
+                    return Verdict(False, (labels[xi], labels[yi]), "M(x) < x but not M(x) < M(y)")
+    return Verdict(True)
 
 
 def verify_lifting(P: Poset, M: Mapping) -> Verdict:
@@ -168,32 +193,17 @@ def verify_lifting(P: Poset, M: Mapping) -> Verdict:
     (ii) M(x) < x implies M(x) < M(y). This is a theorem for special
     matchings, so any returned witness indicates an implementation bug.
     """
-    mapping = _as_mapping(M)
-    if not is_special(P, mapping):
+    partner = _partner(P, M)
+    if partner is None or next(_failing_covers(P, partner), None):
         raise MatchingError("lifting property requires a special matching")
-    below = P._below
-    for yi, y in enumerate(P.elements):
-        my = P.index(mapping[y])
-        if not below[yi] >> my & 1:
-            continue
-        for xi in range(len(P)):
-            if not below[yi] >> xi & 1:
-                continue
-            x = P.elements[xi]
-            mx = P.index(mapping[x])
-            if not (mx == yi or below[yi] >> mx & 1):
-                return Verdict(False, (x, y), "M(x) not <= y")
-            if below[xi] >> mx & 1 and not below[my] >> mx & 1:
-                return Verdict(False, (x, y), "M(x) < x but not M(x) < M(y)")
-    return Verdict(True)
+    return _lifting(P, partner)
 
 
 # -- serialization ----------------------------------------------------------
 
 def matching_pairs(M: Mapping) -> list[list[str]]:
     """Each unordered pair once, lexicographically sorted."""
-    mapping = _as_mapping(M)
-    return sorted([a, b] for a, b in {tuple(sorted((k, v))) for k, v in mapping.items()})
+    return sorted([a, b] for a, b in {tuple(sorted((str(k), str(v)))) for k, v in M.items()})
 
 
 def matching_to_dict(M: Mapping) -> dict:

@@ -27,9 +27,9 @@ from . import corpus
 from .matchings import (
     DEFAULT_MATCHING_LIMIT,
     SearchLimitError,
-    enumerate_special_matchings,
+    _lifting,
+    _special_partners,
     matching_pairs,
-    verify_lifting,
 )
 from .posets import (
     Poset,
@@ -43,12 +43,12 @@ from .posets import (
 from .zircon import (
     ConstructionError,
     ExtremaError,
+    _descend,
+    _extrema,
     _fixed_point_matching,
-    component_extrema,
+    _matching_family,
     fixed_point_subposet,
-    greedy_descend,
     is_zircon,
-    matching_family,
 )
 
 __all__ = ["SweepReport", "ManifestError", "run_sweep", "validate_manifest", "GREEDY_SHUFFLES"]
@@ -192,57 +192,44 @@ def _ideal_minimum_witness(P: Poset) -> Optional[str]:
     return None
 
 
-def _proof_step_records(poset_id: str, P: Poset, family, fixed: set[str],
-                        m_idx: int, a_idx: int) -> list[dict]:
+def _proof_step_records(poset_id: str, P: Poset, family, m_idx: int, a_idx: int) -> list[dict]:
     """The proof-step invariants for one (matching, automorphism) case."""
     records = []
-    comp_of = family.components
-    components = list(dict.fromkeys(comp_of.values()))
-
-    extrema_ok, extrema_witness = True, None
-    extrema: dict[frozenset[str], tuple[str, str]] = {}
-    for comp in components:
-        try:
-            extrema[comp] = component_extrema(P, comp)
-        except ExtremaError as exc:
-            extrema_ok, extrema_witness = False, str(exc)
-            break
-    records.append(_record(poset_id, "component_extrema_unique", extrema_ok,
-                           matching=m_idx, automorphism=a_idx, witness=extrema_witness))
-    if not extrema_ok:
+    labels = P.elements
+    perm = family.automorphism._perm
+    try:
+        extrema = [_extrema(P, mask) for mask in family.components]
+    except ExtremaError as exc:
+        records.append(_record(poset_id, "component_extrema_unique", False,
+                               matching=m_idx, automorphism=a_idx, witness=str(exc)))
         return records
+    records.append(_record(poset_id, "component_extrema_unique", True,
+                           matching=m_idx, automorphism=a_idx))
 
-    ok, witness = True, None
-    for p in fixed:
-        lo, hi = extrema[comp_of[p]]
-        if p != lo and p != hi:
-            ok, witness = False, p
-            break
-    records.append(_record(poset_id, "fixed_points_extremal", ok,
-                           matching=m_idx, automorphism=a_idx, witness=witness))
+    # the first fixed point, in element order, that is no extremum
+    bad = next((labels[p] for p, image in enumerate(perm)
+                if image == p and p not in extrema[family.component_of[p]]), None)
+    records.append(_record(poset_id, "fixed_points_extremal", bad is None,
+                           matching=m_idx, automorphism=a_idx, witness=bad))
 
-    ok, witness = True, None
-    for comp in components:
-        lo, hi = extrema[comp]
-        if (lo in fixed) != (hi in fixed):
-            ok, witness = False, [lo, hi]
-            break
-    records.append(_record(poset_id, "min_fixed_iff_max_fixed", ok,
-                           matching=m_idx, automorphism=a_idx, witness=witness))
+    bad = next(([labels[lo], labels[hi]] for lo, hi in extrema
+                if (perm[lo] == lo) != (perm[hi] == hi)), None)
+    records.append(_record(poset_id, "min_fixed_iff_max_fixed", bad is None,
+                           matching=m_idx, automorphism=a_idx, witness=bad))
 
     ok, witness = True, None
     base = list(range(1, family.order + 1))
-    for q in P.elements:
-        lo, hi = extrema[comp_of[q]]
+    for qi, q in enumerate(labels):
+        lo, hi = extrema[family.component_of[qi]]
         case_seed = zlib.crc32(f"{poset_id}|{m_idx}|{a_idx}|{q}".encode())
         for shuffle_i in range(GREEDY_SHUFFLES):
             rng = random.Random(case_seed + shuffle_i)
             order = base[:]
             rng.shuffle(order)
-            got_lo = greedy_descend(P, family, q, "down", priority=order)
-            got_hi = greedy_descend(P, family, q, "up", priority=order)
+            got_lo = _descend(P, family, qi, order, True)
+            got_hi = _descend(P, family, qi, order, False)
             if got_lo != lo or got_hi != hi:
-                ok, witness = False, [q, got_lo, got_hi]
+                ok, witness = False, [q, labels[got_lo], labels[got_hi]]
                 break
         if not ok:
             break
@@ -267,7 +254,7 @@ def sweep_case(payload: dict) -> list[dict]:
 
     autos = automorphisms(P)
     try:
-        specials = enumerate_special_matchings(P, limit=cap)
+        specials = list(_special_partners(P, cap))
         truncated = False
     except SearchLimitError as exc:
         specials = []
@@ -298,16 +285,16 @@ def sweep_case(payload: dict) -> list[dict]:
         records.append(_record(poset_id, "theorem_suite_skipped", True, info=skip_reason))
         return records
 
-    for m_idx, M in enumerate(specials):
-        verdict = verify_lifting(P, M)
+    # the search yields special matchings; they are not checked again
+    for m_idx, partner in enumerate(specials):
+        verdict = _lifting(P, partner)
         records.append(_record(poset_id, "lifting_property", verdict.ok,
                                matching=m_idx, witness=verdict.witness))
 
     for a_idx, phi in enumerate(autos):
         m_phi_seen: list = []
-        for m_idx, M in enumerate(specials):
-            family = matching_family(P, M, phi)
-            fixed = set(phi.fixed_points())
+        for m_idx, partner in enumerate(specials):
+            family = _matching_family(partner, phi)
             try:
                 m_phi = _fixed_point_matching(P, family)
                 pairs = matching_pairs(m_phi)
@@ -319,7 +306,7 @@ def sweep_case(payload: dict) -> list[dict]:
             except (ConstructionError, ExtremaError) as exc:
                 records.append(_record(poset_id, "fixed_point_special", False,
                                        matching=m_idx, automorphism=a_idx, witness=str(exc)))
-            records.extend(_proof_step_records(poset_id, P, family, fixed, m_idx, a_idx))
+            records.extend(_proof_step_records(poset_id, P, family, m_idx, a_idx))
         # how the induced matching depends on the base matching is an open
         # point; surface the observed spread without judging it
         records.append(_record(poset_id, "m_phi_dependence", True, automorphism=a_idx,

@@ -9,12 +9,14 @@ special matchings whose connectivity components have unique extrema, and
 pairing each fixed point with the opposite extremum of its component is a
 special matching on the fixed-point subposet.
 
-Each public call checks its input once, at the boundary, and its result
-once: ``matching_family`` checks that M is special, and
-``fixed_point_matching`` checks that the induced pairing is special on the
-fixed points. The steps in between trust the theory and are not re-checked
-at run time; the test suite checks them exhaustively on small posets.
-A result that fails its one check raises ``ConstructionError`` loudly.
+Each public call converts its labels and checks its input once, at the
+boundary, and its result once: ``matching_family`` checks that M is
+special, and ``fixed_point_matching`` checks that the induced pairing is
+special on the fixed points. The steps in between trust the theory and
+are not re-checked at run time; the test suite checks them exhaustively
+on small posets. A result that fails its one check raises
+``ConstructionError`` loudly. Inside, matchings are ``partner`` tuples
+of ``matchings`` and components are bitmasks over element indices.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from typing import Mapping, Optional, Sequence
 
 from .matchings import (
     MatchingError,
+    _failing_covers,
+    _partner,
     is_special,
     has_special_matching,
     matching_pairs,
@@ -33,9 +37,9 @@ from .posets import (
     PosetMap,
     NotAutomorphismError,
     UnknownElementError,
+    _bits,
     induced_subposet,
     is_bounded,
-    leq,
     principal_ideal,
     rank_function,
 )
@@ -75,17 +79,18 @@ class ConstructionError(RuntimeError):
 class MatchingFamily:
     """The conjugates M_k of a special matching under automorphism powers.
 
-    ``members[k-1]`` is M_k(p) = phi^k(M(phi^-k(p))) for k = 1..N, where N
-    is the multiplicative order of phi; M_N equals the base matching.
-    ``components[p]`` is the connected component of p in the union of all
-    member edges, keyed in element order.
+    ``members[k-1]`` is M_k(p) = phi^k(M(phi^-k(p))) as a partner tuple,
+    for k = 1..N, N the multiplicative order of phi; M_N equals the base
+    matching. ``components`` holds the connected components of the union
+    of all member edges as bitmasks, in order of their first element;
+    element i lies in ``components[component_of[i]]``.
     """
 
-    base: Mapping[str, str]
     automorphism: PosetMap
     order: int
-    members: tuple[Mapping[str, str], ...]
-    components: Mapping[str, frozenset[str]]
+    members: tuple[tuple[int, ...], ...]
+    components: tuple[int, ...]
+    component_of: tuple[int, ...]
 
 
 def is_zircon(P: Poset) -> bool:
@@ -128,43 +133,61 @@ def matching_family(P: Poset, M: Mapping, phi) -> MatchingFamily:
     phi is an automorphism, and they are not re-checked.
     """
     fm = _as_poset_map(P, phi)
-    if not is_special(P, M):
+    partner = _partner(P, M)
+    if partner is None or next(_failing_covers(P, partner), None):
         raise MatchingError("family construction requires a special matching")
-    base = {str(k): str(v) for k, v in M.items()}
-    members = []
-    current = base
-    for _ in range(fm.order()):
-        current = {fm(p): fm(q) for p, q in current.items()}
-        members.append(current)
+    return _matching_family(partner, fm)
 
-    comp_of: dict[str, frozenset[str]] = {}
-    for x in P.elements:
-        if x in comp_of:
+
+def _matching_family(partner: tuple[int, ...], phi: PosetMap) -> MatchingFamily:
+    """The family of a special matching given in index form, not checked."""
+    perm, inverse = phi._perm, phi.inverse()._perm
+    members = []
+    for _ in range(phi.order()):
+        partner = tuple(perm[partner[j]] for j in inverse)  # i -> phi(M(phi^-1(i)))
+        members.append(partner)
+
+    components: list[int] = []
+    component_of = [-1] * len(perm)
+    for x in range(len(perm)):
+        if component_of[x] != -1:
             continue
-        seen = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
+        mask, queue = 1 << x, [x]
+        for y in queue:  # the queue grows while it is walked
+            component_of[y] = len(components)
             for member in members:
-                z = member[y]
-                if z not in seen:
-                    seen.add(z)
-                    queue.append(z)
-        comp = frozenset(seen)
-        for y in comp:
-            comp_of[y] = comp
+                if not mask >> member[y] & 1:
+                    mask |= 1 << member[y]
+                    queue.append(member[y])
+        components.append(mask)
     return MatchingFamily(
-        base=base,
-        automorphism=fm,
+        automorphism=phi,
         order=len(members),
         members=tuple(members),
-        components={x: comp_of[x] for x in P.elements},
+        components=tuple(components),
+        component_of=tuple(component_of),
     )
 
 
 def orbit_component(P: Poset, F: MatchingFamily, p) -> frozenset[str]:
     """Connected component of p in the union of all family edges."""
-    return F.components[P.elements[P.index(p)]]
+    return frozenset(P.elements[i] for i in _bits(F.components[F.component_of[P.index(p)]]))
+
+
+def _extrema(P: Poset, mask: int) -> tuple[int, int]:
+    """Indices of the unique minimum and maximum of the subposet on the
+    bitmask ``mask``; ExtremaError when either is not unique."""
+    below = P._below
+    members = _bits(mask)
+    under = 0  # everything strictly below some member
+    for y in members:
+        under |= below[y]
+    mins = [x for x in members if not below[x] & mask]
+    maxs = [x for x in members if not under >> x & 1]
+    if len(mins) != 1 or len(maxs) != 1:
+        names = [[P.elements[x] for x in xs] for xs in (members, mins, maxs)]
+        raise ExtremaError("component {} has extrema {} / {}".format(*names))
+    return mins[0], maxs[0]
 
 
 def component_extrema(P: Poset, C) -> tuple[str, str]:
@@ -173,12 +196,21 @@ def component_extrema(P: Poset, C) -> tuple[str, str]:
     Raises ExtremaError when either is not unique; for genuine orbit
     components that would contradict a proven property.
     """
-    members = sorted(C, key=P.index)
-    mins = [x for x in members if not any(leq(P, y, x) and y != x for y in members)]
-    maxs = [x for x in members if not any(leq(P, x, y) and y != x for y in members)]
-    if len(mins) != 1 or len(maxs) != 1:
-        raise ExtremaError(f"component {members} has extrema {mins} / {maxs}")
-    return mins[0], maxs[0]
+    lo, hi = _extrema(P, sum(1 << P.index(x) for x in set(C)))
+    return P.elements[lo], P.elements[hi]
+
+
+def _descend(P: Poset, F: MatchingFamily, i: int, ks: Sequence[int], down: bool) -> int:
+    """``greedy_descend`` from element index i, in index form."""
+    below = P._below
+    while True:
+        for k in ks:
+            image = F.members[k - 1][i]
+            if (below[i] >> image if down else below[image] >> i) & 1:
+                i = image
+                break
+        else:  # no matching moves i
+            return i
 
 
 def greedy_descend(
@@ -200,21 +232,7 @@ def greedy_descend(
     ks = list(priority) if priority is not None else list(range(1, F.order + 1))
     if sorted(ks) != list(range(1, F.order + 1)):
         raise ValueError("priority must be a permutation of 1..N")
-    current = P.elements[P.index(q)]
-    moved = True
-    while moved:
-        moved = False
-        for k in ks:
-            image = F.members[k - 1][current]
-            if direction == "down":
-                improves = image != current and leq(P, image, current)
-            else:
-                improves = image != current and leq(P, current, image)
-            if improves:
-                current = image
-                moved = True
-                break
-    return current
+    return P.elements[_descend(P, F, P.index(q), ks, direction == "down")]
 
 
 def fixed_point_subposet(P: Poset, phi) -> Poset:
@@ -231,24 +249,19 @@ def _require_bounded(P: Poset) -> None:
 def _fixed_point_matching(P: Poset, family: MatchingFamily) -> dict[str, str]:
     """Pair each fixed point with the opposite extremum of its component,
     then check once that the pairing is special on the fixed points."""
-    fixed = family.automorphism.fixed_points()
+    labels = P.elements
     result: dict[str, str] = {}
-    extrema_cache: dict[frozenset[str], tuple[str, str]] = {}
-    for p in fixed:
-        comp = family.components[p]
-        if comp not in extrema_cache:
-            extrema_cache[comp] = component_extrema(P, comp)
-        lo, hi = extrema_cache[comp]
-        if p == hi:
-            result[p] = lo
-        elif p == lo:
-            result[p] = hi
-        else:
+    for p, image in enumerate(family.automorphism._perm):
+        if image != p:
+            continue
+        lo, hi = _extrema(P, family.components[family.component_of[p]])
+        if p not in (lo, hi):
             raise ConstructionError(
-                f"fixed point {p!r} is neither the minimum nor the maximum of its component"
+                f"fixed point {labels[p]!r} is neither the minimum nor the maximum of its component"
             )
+        result[labels[p]] = labels[lo if p == hi else hi]
     try:
-        verdict = is_special(induced_subposet(P, fixed), result)
+        verdict = is_special(induced_subposet(P, family.automorphism.fixed_points()), result)
     except (MatchingError, UnknownElementError) as exc:
         raise ConstructionError("induced pairing is not a matching on the fixed points") from exc
     if not verdict:
@@ -279,10 +292,8 @@ def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
     report = {
         "n": len(P),
         "order_N": family.order,
-        "components": [
-            sorted(comp, key=P.index) for comp in dict.fromkeys(family.components.values())
-        ],
-        "fixed_points": sorted(fm.fixed_points(), key=P.index),
+        "components": [[P.elements[i] for i in _bits(mask)] for mask in family.components],
+        "fixed_points": list(fm.fixed_points()),
         "special": False,
         "witness": None,
         "m_phi": None,

@@ -31,6 +31,13 @@ def b2():
 
 
 @pytest.fixture(scope="session")
+def cube():
+    """Boolean lattice of the subsets of {0, 1, 2}, as bitmasks 0..7."""
+    covers = [(m, m | 1 << i) for m in range(8) for i in range(3) if not m >> i & 1]
+    return build_poset(list(range(8)), covers)
+
+
+@pytest.fixture(scope="session")
 def hexagon(a2):
     return a2.bruhat_poset()
 

@@ -4,6 +4,7 @@ from zircons import (
     MatchingError,
     SearchLimitError,
     UnknownElementError,
+    build_coxeter,
     build_poset,
     descent_matching,
     enumerate_matchings,
@@ -21,6 +22,37 @@ from zircons.posets import automorphisms
 
 def pairs_set(matchings):
     return {frozenset(map(tuple, matching_pairs(m))) for m in matchings}
+
+
+def _strictly_below(P):
+    """Pairs x < y, by walking up the covers apart from the library's order."""
+    up = {x: [] for x in P.elements}
+    for a, b in P.covers:
+        up[a].append(b)
+    below = set()
+    for x in P.elements:
+        frontier = list(up[x])
+        while frontier:
+            y = frontier.pop()
+            if (x, y) not in below:
+                below.add((x, y))
+                frontier.extend(up[y])
+    return below
+
+
+def special_oracle(P, M):
+    """(is a matching, first failing cover or None), from the definition: a
+    total, fixed-point-free involution along Hasse edges, with M(p) = q or
+    M(p) < M(q) on every cover p < q, the covers taken in ``covers`` order."""
+    covers = set(P.covers)
+    if set(M) != set(P.elements) or any(
+        p == q or M.get(q) != p or ((p, q) not in covers and (q, p) not in covers)
+        for p, q in M.items()
+    ):
+        return False, None
+    below = _strictly_below(P)
+    failing = [(p, q) for p, q in P.covers if M[p] != q and (M[p], M[q]) not in below]
+    return True, failing[0] if failing else None
 
 
 class TestIsMatching:
@@ -80,7 +112,7 @@ class TestEnumeration:
 
     def test_matches_brute_force_filter_on_corpus(self, corpus_to_5):
         for P in corpus_to_5:
-            brute = [m for m in enumerate_matchings(P) if is_special(P, m).ok]
+            brute = [m for m in enumerate_matchings(P) if special_oracle(P, m) == (True, None)]
             assert pairs_set(enumerate_special_matchings(P)) == pairs_set(brute)
 
     def test_limit_is_enforced(self, hexagon):
@@ -110,6 +142,47 @@ class TestLifting:
     def test_rejects_non_special_input(self, n_poset):
         with pytest.raises(MatchingError):
             verify_lifting(n_poset, {"a": "c", "c": "a", "b": "d", "d": "b"})
+
+
+def _oracle_inputs(P):
+    """Every perfect matching of P's Hasse diagram, then maps that are
+    partial, that swap partners between two pairs (usually off the Hasse
+    edges), and that fix every element."""
+    matchings = enumerate_matchings(P)
+    yield from matchings
+    a, b = P.covers[0]
+    yield {a: b, b: a}
+    for M in matchings[:3]:
+        if len(M) >= 4:
+            (a, b), (c, d) = matching_pairs(M)[:2]
+            yield {**M, a: d, d: a, c: b, b: c}
+    yield {p: p for p in P.elements}
+
+
+def test_checks_agree_with_the_definition(corpus_to_5, cube):
+    """``is_matching`` and ``is_special`` (verdict and witness) against the
+    definition written out in ``special_oracle``, on every perfect matching
+    of every class up to n = 5, the cube and I2(6), and on maps that are
+    not matchings."""
+    posets = [*corpus_to_5, cube, build_coxeter("I2:6").bruhat_poset()]
+    seen = {True: 0, False: 0}
+    witnesses = 0
+    for P in posets:
+        if not P.covers:
+            continue
+        for M in _oracle_inputs(P):
+            matching, failing = special_oracle(P, M)
+            assert is_matching(P, M) is matching
+            seen[matching] += 1
+            if not matching:
+                with pytest.raises(MatchingError):
+                    is_special(P, M)
+                continue
+            verdict = is_special(P, M)
+            assert verdict.ok is (failing is None)
+            assert verdict.witness == failing
+            witnesses += failing is not None
+    assert seen[True] > 50 and seen[False] > 150 and witnesses > 10
 
 
 def test_specialness_invariant_under_relabeling(corpus_to_5):

@@ -406,6 +406,13 @@ class TestCoxeterCommand:
         assert main(["coxeter", "B3", "twisted", "flip"]) == 2
         assert "flip exists for B only at B2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action,theta", [("zircon-check", "bogus"), ("export", "flip")])
+    def test_theta_where_none_is_used(self, files, capsys, action, theta):
+        """export and zircon-check build no diagram automorphism; a theta
+        other than the default is still malformed input."""
+        assert main(["coxeter", "A3", action, theta]) == 2
+        assert "takes no diagram automorphism" in capsys.readouterr().err
+
 
 class TestDotMobiusCommands:
     def test_dot(self, files, capsys):

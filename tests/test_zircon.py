@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ import zircons.zircon
 from zircons import (
     BoundednessError,
     ConstructionError,
+    DiagramAutomorphism,
     ExtremaError,
     MatchingError,
     build_coxeter,
@@ -22,6 +27,7 @@ from zircons import (
     is_special,
     is_zircon,
     is_zircon_ranked,
+    leq,
     map_to_dict,
     matching_family,
     matching_pairs,
@@ -34,6 +40,11 @@ from zircons import (
 from zircons.cli import main
 from zircons.posets import PosetMap, automorphisms
 from zircons.sweep import sweep_case
+
+
+def members(P, F):
+    """The family's members, index tuples, as label dicts."""
+    return tuple({P.elements[i]: P.elements[j] for i, j in enumerate(m)} for m in F.members)
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +105,11 @@ class TestTransform:
     def test_identity(self, diamond):
         M = {"0": "1", "1": "0", "2": "3", "3": "2"}
         ident = PosetMap(diamond, {e: e for e in diamond.elements})
-        assert matching_family(diamond, M, ident).members[0] == M
+        assert members(diamond, matching_family(diamond, M, ident))[0] == M
 
     def test_diamond_conjugation(self, diamond, diamond_swap):
         M = {"0": "1", "1": "0", "2": "3", "3": "2"}
-        assert matching_family(diamond, M, diamond_swap).members[0] == {
+        assert members(diamond, matching_family(diamond, M, diamond_swap))[0] == {
             "0": "2",
             "2": "0",
             "1": "3",
@@ -106,7 +117,7 @@ class TestTransform:
         }
 
     def test_hexagon_flip_gives_other_descent(self, a2, hexagon, hexagon_flip, m_rmult_s1):
-        conj = matching_family(hexagon, m_rmult_s1, hexagon_flip).members[0]
+        conj = members(hexagon, matching_family(hexagon, m_rmult_s1, hexagon_flip))[0]
         assert conj == descent_matching(a2, "s1.s2.s1", "s2", "right")
 
 
@@ -115,24 +126,24 @@ class TestMatchingFamily:
         M = {"0": "1", "1": "0", "2": "3", "3": "2"}
         ident = PosetMap(diamond, {e: e for e in diamond.elements})
         F = matching_family(diamond, M, ident)
-        assert F.order == 1 and F.members == (M,)
+        assert F.order == 1 and members(diamond, F) == (M,)
 
     def test_diamond_family(self, diamond, diamond_swap):
         M = {"0": "1", "1": "0", "2": "3", "3": "2"}
         F = matching_family(diamond, M, diamond_swap)
         assert F.order == 2
-        assert matching_pairs(F.members[0]) == [["0", "2"], ["1", "3"]]
-        assert matching_pairs(F.members[1]) == [["0", "1"], ["2", "3"]]
+        assert matching_pairs(members(diamond, F)[0]) == [["0", "2"], ["1", "3"]]
+        assert matching_pairs(members(diamond, F)[1]) == [["0", "1"], ["2", "3"]]
 
     def test_hexagon_family(self, a2, hexagon, hexagon_flip, m_rmult_s1):
         F = matching_family(hexagon, m_rmult_s1, hexagon_flip)
         assert F.order == 2
-        assert F.members[0] == descent_matching(a2, "s1.s2.s1", "s2", "right")
-        assert F.members[1] == m_rmult_s1
+        assert members(hexagon, F)[0] == descent_matching(a2, "s1.s2.s1", "s2", "right")
+        assert members(hexagon, F)[1] == m_rmult_s1
 
     def test_conjugates_match_power_formula(self, hexagon, hexagon_flip, m_rmult_s1):
         F = matching_family(hexagon, m_rmult_s1, hexagon_flip)
-        for k, M_k in enumerate(F.members, start=1):
+        for k, M_k in enumerate(members(hexagon, F), start=1):
             fwd = hexagon_flip.power(k)
             back = hexagon_flip.power(-k)
             for p in hexagon.elements:
@@ -310,42 +321,80 @@ def _rotate(mask):
     return ((mask << 1) | (mask >> 2)) & 7
 
 
-@pytest.fixture(scope="module")
-def cube():
-    """Boolean lattice of the subsets of {0, 1, 2}, as bitmasks 0..7."""
-    covers = [(m, m | 1 << i) for m in range(8) for i in range(3) if not m >> i & 1]
-    return build_poset(list(range(8)), covers)
+def _conjugates(M, phi):
+    """M_1..M_N, conjugated here as label dicts apart from the index form
+    that ``matching_family`` stores."""
+    out, current = [], M
+    for _ in range(phi.order()):
+        current = {phi(p): phi(q) for p, q in current.items()}
+        out.append(current)
+    return out
 
 
-def _component_walk(F, p):
-    """Component of p in the union of the family's edges, walked here apart
-    from the one ``matching_family`` stores."""
+def _component_walk(conjugates, p):
+    """Component of p in the union of the conjugates' edges."""
     seen, frontier = {p}, [p]
     while frontier:
         x = frontier.pop()
-        for M_k in F.members:
+        for M_k in conjugates:
             if M_k[x] not in seen:
                 seen.add(M_k[x])
                 frontier.append(M_k[x])
     return frozenset(seen)
 
 
-def test_family_members_special_and_components_exact(corpus_to_5, cube, a3):
+def _label_descend(P, conjugates, q, down):
+    """Greedy descent through label dicts and the label-level ``leq``."""
+    moved = True
+    while moved:
+        moved = False
+        for M_k in conjugates:
+            image = M_k[q]
+            if image != q and (leq(P, image, q) if down else leq(P, q, image)):
+                q, moved = image, True
+                break
+    return q
+
+
+def test_index_form_agrees_with_label_walk(corpus_to_5, cube, a3):
     """The construction does not re-check its intermediate steps at run
-    time; this checks them on every class up to n = 5, the cube and the
-    Bruhat orders of A3 and I2(6), for every special matching and every
-    automorphism: each conjugate is special, M_N is M, and the stored
-    components are the orbit components, in element order."""
+    time, and it runs them on index tuples and bitmasks. This checks them
+    against label dicts walked here, on every class up to n = 5, the cube
+    and the Bruhat orders of A3 and I2(6), the last two also with their
+    elements listed top down, for every special matching and every
+    automorphism: the members are the conjugates, each special, M_N
+    is M; the components are the orbit components, in the order of their
+    first elements; the extrema are the least and greatest elements of each
+    component; and greedy descent in either direction, trying the members
+    in either order, ends where the label-level walk ends."""
+    bruhat = [a3.bruhat_poset(), build_coxeter("I2:6").bruhat_poset()]
+    top_down = [build_poset(P.elements[::-1], P.covers) for P in bruhat]
     cases = 0
-    for P in [*corpus_to_5, cube, a3.bruhat_poset(), build_coxeter("I2:6").bruhat_poset()]:
+    for P in [*corpus_to_5, cube, *bruhat, *top_down]:
         for M in enumerate_special_matchings(P):
             for phi in automorphisms(P):
                 F = matching_family(P, M, phi)
-                assert len(F.members) == F.order == phi.order()
-                assert F.members[-1] == M
-                assert all(is_special(P, M_k).ok for M_k in F.members)
-                assert F.components == {p: _component_walk(F, p) for p in P.elements}
-                assert list(F.components) == list(P.elements)
+                conjugates = _conjugates(M, phi)
+                assert F.order == phi.order() and list(members(P, F)) == conjugates
+                assert conjugates[-1] == M
+                assert all(is_special(P, M_k).ok for M_k in conjugates)
+
+                walk = [_component_walk(conjugates, p) for p in P.elements]
+                components = [frozenset(p for i, p in enumerate(P.elements) if mask >> i & 1)
+                              for mask in F.components]
+                assert components == list(dict.fromkeys(walk))
+                assert [components[c] for c in F.component_of] == walk
+                assert [orbit_component(P, F, p) for p in P.elements] == walk
+                for C in components:
+                    least = [x for x in C if all(leq(P, x, y) for y in C)]
+                    greatest = [x for x in C if all(leq(P, y, x) for y in C)]
+                    assert [component_extrema(P, C)] == list(zip(least, greatest))
+
+                for ks in (list(range(1, F.order + 1)), list(range(F.order, 0, -1))):
+                    tried = [conjugates[k - 1] for k in ks]
+                    for q in P.elements:
+                        assert greedy_descend(P, F, q, "down", ks) == _label_descend(P, tried, q, True)
+                        assert greedy_descend(P, F, q, "up", ks) == _label_descend(P, tried, q, False)
                 cases += 1
     assert cases > 1000
 
@@ -370,9 +419,10 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.fixture()
 def check_calls(monkeypatch):
-    """Sizes of the posets that ``is_special`` and ``is_matching`` are run on."""
-    return {name: _count_calls(monkeypatch, "matchings", name)
-            for name in ("is_special", "is_matching")}
+    """Sizes of the posets that the special check (``_failing_covers``) and
+    the matching check (``_partner``) are run on."""
+    return {"special": _count_calls(monkeypatch, "matchings", "_failing_covers"),
+            "matching": _count_calls(monkeypatch, "matchings", "_partner")}
 
 
 @pytest.fixture()
@@ -408,12 +458,12 @@ class TestChecksRunOnce:
         assert phi.order() == order
         # the input M on the cube, then the result on the fixed points
         fixed = len(phi.fixed_points())
-        assert check_calls == {"is_special": [8, fixed], "is_matching": [8, fixed]}
+        assert check_calls == {"special": [8, fixed], "matching": [8, fixed]}
         assert len(got) == fixed
 
     def test_descent_matching_checks_once(self, check_calls, a3):
         M = descent_matching(a3, a3.longest_element(), "s2", "left")
-        assert check_calls == {"is_special": [24], "is_matching": [24]}
+        assert check_calls == {"special": [24], "matching": [24]}
         assert len(M) == 24
 
     def test_sweep_builds_one_family_per_case(self, monkeypatch, cube):
@@ -432,6 +482,18 @@ class TestChecksRunOnce:
         assert len(built) == len(cases)
         assert 3 in built  # the rotations are among the automorphisms
 
+    def test_sweep_case_checks_only_the_constructions(self, check_calls, cube):
+        """The sweep does not check the matchings its own search found, on
+        the cube or anywhere: the checks run once per (automorphism,
+        matching) case, on the induced matching of the fixed points."""
+        specials = enumerate_special_matchings(cube)
+        fixed = [len(phi.fixed_points()) for phi in automorphisms(cube) for _ in specials]
+        payload = {"poset_id": "cube", "poset": poset_to_dict(cube),
+                   "mode": "exhaustive", "cap": 100}
+        cases = [r for r in sweep_case(payload) if r["check"] == "fixed_point_special"]
+        assert len(cases) == len(fixed) > 1 and all(r["ok"] for r in cases)
+        assert check_calls == {"special": fixed, "matching": fixed}
+
     def test_check_validates_phi_once(self, check_calls, validated_maps, tmp_path, a3):
         M = descent_matching(a3, a3.longest_element(), "s2", "left")
         phi = twisted_map(a3, theta_from_spec(a3, "flip"))
@@ -441,16 +503,16 @@ class TestChecksRunOnce:
                           ("phi", map_to_dict(phi))):
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(json.dumps(obj))
-        check_calls["is_special"].clear()
-        check_calls["is_matching"].clear()
+        check_calls["special"].clear()
+        check_calls["matching"].clear()
         validated_maps.clear()
         rc = main(["check", *map(str, paths), "--output", str(tmp_path / "report.json")])
         report = json.loads((tmp_path / "report.json").read_text())
         assert rc == 0 and report["fixed_point"]["special"]
         assert validated_maps == [24]
         # M by check itself, by verify_lifting and by matching_family; m_phi once
-        assert check_calls == {"is_special": [24, 24, 24, fixed],
-                               "is_matching": [24, 24, 24, fixed]}
+        assert check_calls == {"special": [24, 24, 24, fixed],
+                               "matching": [24, 24, 24, fixed]}
 
     def test_coxeter_twisted_builds_the_map_once(self, validated_maps, monkeypatch, tmp_path):
         induced = _count_calls(monkeypatch, "posets", "induced_subposet")
@@ -460,6 +522,18 @@ class TestChecksRunOnce:
         assert validated_maps == [384]  # the twisted map on the whole of B4
         assert induced == [384]  # the twisted involutions, taken from B4 once
         assert report["cardinality"] == 76
+
+    def test_coxeter_zircon_check_builds_no_diagram_automorphism(self, monkeypatch, tmp_path):
+        built = []
+        real_init = DiagramAutomorphism.__init__
+
+        def counting(self, system, generator_map):
+            built.append(dict(generator_map))
+            real_init(self, system, generator_map)
+
+        monkeypatch.setattr(DiagramAutomorphism, "__init__", counting)
+        rc = main(["coxeter", "B3", "zircon-check", "--output", str(tmp_path / "z.json")])
+        assert rc == 0 and built == []
 
     def test_coxeter_zircon_check_builds_each_ideal_once(self, monkeypatch, tmp_path):
         ideals = _count_calls(monkeypatch, "posets", "principal_ideal")
@@ -483,3 +557,36 @@ class TestChecksRunOnce:
         sweep_case({"poset_id": "p", "poset": poset_to_dict(P), "mode": "exhaustive", "cap": 100})
         # once on P, then once on each fixed-point subposet of a zircon
         assert calls == [len(P), *map(len, subposets)]
+
+
+_NO_EXTREMA = """
+import json, sys
+import zircons.sweep
+zircons.sweep._extrema = lambda P, mask: (-1, -1)  # no element is an extremum
+records = zircons.sweep.sweep_case(json.loads(sys.argv[1]))
+print(json.dumps([r["witness"] for r in records
+                  if r["check"] == "fixed_points_extremal" and r["automorphism"] == 0]))
+"""
+
+
+def test_proof_step_witness_ignores_the_hash_seed(cube):
+    """The sweep walks the fixed points in element order. With the extrema
+    patched so that no fixed point of the cube under the identity (the first
+    automorphism) is extremal, every hash seed reports the same witness: the
+    first fixed point in element order."""
+    assert automorphisms(cube)[0].is_identity()
+    payload = json.dumps({"poset_id": "cube", "poset": poset_to_dict(cube),
+                          "mode": "exhaustive", "cap": 100})
+    src = str(Path(zircons.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in range(5):
+        result = subprocess.run(
+            [sys.executable, "-c", _NO_EXTREMA, payload],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, check=True,
+        )
+        outputs.add(result.stdout)
+    witnesses = [json.loads(out) for out in outputs]
+    assert len(witnesses) == 1 and set(witnesses[0]) == {"0"}
+    assert len(witnesses[0]) == len(enumerate_special_matchings(cube))
