@@ -45,7 +45,6 @@ from .matchings import (
     DEFAULT_MATCHING_LIMIT,
     is_matching,
     is_special,
-    iter_special_matchings,
     enumerate_special_matchings,
     has_special_matching,
     verify_lifting,

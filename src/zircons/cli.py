@@ -32,11 +32,12 @@ from .matchings import (
     DEFAULT_MATCHING_LIMIT,
     MatchingError,
     SearchLimitError,
+    _failing_covers,
+    _lifting,
+    _partner,
     has_special_matching,
-    is_special,
     matching_from_dict,
     matching_pairs,
-    verify_lifting,
 )
 from .posets import (
     NotAutomorphismError,
@@ -57,7 +58,8 @@ from .zircon import (
     BoundednessError,
     ConstructionError,
     ExtremaError,
-    fixed_point_report,
+    _fixed_point_report,
+    _matching_family,
     is_zircon,
 )
 
@@ -98,37 +100,36 @@ def cmd_check(args) -> int:
     P = poset_from_dict(_load_json(args.poset))
     M = matching_from_dict(_load_json(args.matching))
     report: dict = {"poset": poset_to_dict(P), "matching_pairs": matching_pairs(M)}
-    ok = True
 
-    try:
-        verdict = is_special(P, M)
-    except MatchingError:
+    # M is converted and checked once; the later steps take its index form
+    partner = _partner(P, M)
+    if partner is None:
         report.update(matching=False, special=None, witness=None, lifting=None)
         _emit_json(report, args.output)
         return EXIT_VIOLATION
+    failing = next(_failing_covers(P, partner), None)
+    special = ok = failing is None
     report["matching"] = True
-    report["special"] = verdict.ok
-    report["witness"] = list(verdict.witness) if verdict.witness else None
-    if verdict.ok:
-        lifting = verify_lifting(P, M)
+    report["special"] = special
+    report["witness"] = [P.elements[i] for i in failing] if failing else None
+    report["lifting"] = None
+    if special:
+        lifting = _lifting(P, partner)
         report["lifting"] = lifting.ok
         if not lifting.ok:
             report["lifting_witness"] = list(lifting.witness)
             ok = False
-    else:
-        report["lifting"] = None
-        ok = False
 
     if args.automorphism:
         try:
             phi = PosetMap(P, map_from_dict(_load_json(args.automorphism)))
         except NotAutomorphismError:
             raise InputError("the supplied map is not an automorphism of the poset")
-        if not verdict.ok:
+        if not special:
             raise InputError("fixed-point construction requires a special matching")
         if not is_bounded(P):
             raise InputError("fixed-point construction requires a bounded poset")
-        fp = fixed_point_report(P, M, phi)
+        fp = _fixed_point_report(P, _matching_family(partner, phi))
         report["fixed_point"] = fp
         if not fp["special"]:
             ok = False

@@ -16,8 +16,10 @@ from .posets import (
     Poset,
     PosetError,
     _bits,
+    _iso_search,
+    _order,
+    _poset,
     _signatures,
-    are_isomorphic,
     build_poset,
     leq,
 )
@@ -60,8 +62,12 @@ def _natural_strict_orders(n: int) -> Iterator[list[int]]:
 
 
 def _poset_from_masks(below: list[int]) -> Poset:
-    pairs = [(i, j) for j, mask in enumerate(below) for i in _bits(mask)]
-    return build_poset([str(i) for i in range(len(below))], pairs, mode="relations")
+    """The poset on "0".."n-1" whose strict downsets, already closed, are
+    ``below``."""
+    n = len(below)
+    ids = tuple(map(str, range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if below[j] >> i & 1]
+    return _poset(ids, *_order(ids, pairs))
 
 
 def _iso_classes(n: int) -> Iterator[Poset]:
@@ -70,7 +76,7 @@ def _iso_classes(n: int) -> Iterator[Poset]:
         P = _poset_from_masks(below)
         key = tuple(sorted(_signatures(P)))  # an isomorphism invariant
         reps = buckets.setdefault(key, [])
-        if any(are_isomorphic(rep, P) is not None for rep in reps):
+        if any(_iso_search(rep, P, find_all=False) for rep in reps):
             continue
         reps.append(P)
         yield P
@@ -90,17 +96,17 @@ def enumerate_posets(n: int, canonical: bool = True) -> Iterator[Poset]:
     if canonical:
         yield from _iso_classes(n)
         return
-    ids = [str(i) for i in range(n)]
+    ids = tuple(map(str, range(n)))
     for rep in _iso_classes(n):
-        cover_idx = [(rep.index(a), rep.index(b)) for a, b in rep.covers]
+        cover_idx = [(i, j) for i, ups in enumerate(rep._up) for j in ups]
         seen: set[frozenset] = set()
         for perm in permutations(range(n)):
             relabeled = frozenset((perm[i], perm[j]) for i, j in cover_idx)
             if relabeled in seen:
                 continue
             seen.add(relabeled)
-            pairs = [(str(i), str(j)) for i, j in sorted(relabeled)]
-            yield Poset(ids, pairs)
+            # relabelling carries covers to covers, so the pairs need no check
+            yield _poset(ids, *_order(ids, sorted(relabeled)))
 
 
 def enumerate_matchings(P: Poset) -> list[dict[str, str]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .matchings import MatchingError, _failing_covers, is_special
-from .posets import Poset, PosetMap, _bits, build_poset, induced_subposet
+from .posets import Poset, PosetMap, _bits, _induced, build_poset
 
 __all__ = [
     "CoxeterError",
@@ -508,4 +508,6 @@ def twisted_involutions(W: CoxeterSystem, theta: DiagramAutomorphism) -> list[Gr
 
 def fix_subgroup_poset(W: CoxeterSystem, theta: DiagramAutomorphism) -> Poset:
     """Bruhat order restricted to the group elements fixed by theta."""
-    return induced_subposet(W.bruhat_poset(), theta.fixed_labels())
+    # the Bruhat order lists the elements in the order of W.elements
+    fixed = [i for i, el in enumerate(W.elements) if theta.apply_model(el.model) == el.model]
+    return _induced(W.bruhat_poset(), fixed)

@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_MATCHING_LIMIT",
     "is_matching",
     "is_special",
-    "iter_special_matchings",
     "enumerate_special_matchings",
     "has_special_matching",
     "verify_lifting",
@@ -153,11 +152,6 @@ def _special_partners(P: Poset, limit: Optional[int] = None) -> Iterator[tuple[i
         if limit is not None and count > limit:
             raise SearchLimitError(f"more than {limit} special matchings; raise the cap")
         yield found
-
-
-def iter_special_matchings(P: Poset) -> Iterator[dict[str, str]]:
-    """Lazy enumeration of all special matchings, in deterministic search order."""
-    yield from (_labels(P, partner) for partner in _special_partners(P))
 
 
 def enumerate_special_matchings(P: Poset, limit: int = DEFAULT_MATCHING_LIMIT) -> list[dict[str, str]]:

@@ -1,15 +1,19 @@
 """Finite partially ordered sets stored as Hasse diagrams.
 
 Elements are opaque string ids (numeric inputs are stringified so that
-JSON round-trips are uniform). A poset keeps one representation of its
+JSON round-trips are uniform). Inside the library an element is its
+index in ``elements``; labels are built only for return values,
+witnesses and error messages. A poset keeps one representation of its
 order: bit ``i`` of the Python int ``_below[j]`` is set iff ``i < j``,
-next to the cover adjacency that the sorted ``covers`` tuple lists.
-Arbitrary-precision ints cannot wrap, so the order is exact at every
-size. An instance's order never changes after construction; the only
-state it gains is the Mobius memo, which takes no lock: sweeps run in
-worker processes and send plain dict payloads, so no instance is shared
-between threads. Only finite posets are representable, hence
-local-finiteness hypotheses hold vacuously throughout.
+next to the cover adjacency ``_up``/``_down`` it is the closure of. The
+label views ``covers``, ``minimal_elements`` and ``maximal_elements``
+are derived from the adjacency on each access. Arbitrary-precision ints
+cannot wrap, so the order is exact at every size. An instance's order
+never changes after construction; the only state it gains is the Mobius
+memo, which takes no lock: sweeps run in worker processes and send plain
+dict payloads, so no instance is shared between threads. Only finite
+posets are representable, hence local-finiteness hypotheses hold
+vacuously throughout.
 """
 
 from __future__ import annotations
@@ -123,26 +127,14 @@ def _order(ids: Sequence[str], pairs: Sequence[tuple[int, int]]) -> tuple[list[i
 
 
 class Poset:
-    """Immutable finite poset: ids, cover pairs, and the strict order as
-    bitset rows.
+    """Immutable finite poset: ids, cover adjacency, and the strict order
+    as bitset rows.
 
     ``Poset(elements, covers)`` validates like :func:`build_poset` in
     covers mode; the subposet functions build from a parent's order.
     """
 
-    __slots__ = (
-        "elements",
-        "covers",
-        "_index",
-        "_below",
-        "_up",
-        "_down",
-        "_rank",
-        "_topo",
-        "_minimals",
-        "_maximals",
-        "_mobius_cols",
-    )
+    __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo", "_mobius_cols")
 
     def __init__(self, elements: Iterable, covers: Iterable, *, _relations: bool = False):
         ids = tuple(str(e) for e in elements)
@@ -177,13 +169,10 @@ class Poset:
             up[i].append(j)
             down[j].append(i)
         self.elements = ids
-        self.covers = tuple((ids[i], ids[j]) for i, j in pairs)
         self._index = index
         self._below = tuple(below)
         self._up = tuple(map(tuple, up))
         self._down = tuple(map(tuple, down))
-        self._minimals = tuple(ids[i] for i in range(n) if not down[i])
-        self._maximals = tuple(ids[i] for i in range(n) if not up[i])
         # sorting by |strict downset| is a linear extension
         self._topo = tuple(sorted(range(n), key=lambda i: (below[i].bit_count(), i)))
         self._rank = self._compute_rank()
@@ -197,25 +186,14 @@ class Poset:
                 continue
             rank[root] = 0
             component = [root]
-            queue = [root]
-            while queue:
-                i = queue.pop()
-                for j in self._up[i]:
-                    want = rank[i] + 1
-                    if rank[j] is None:
-                        rank[j] = want
-                        component.append(j)
-                        queue.append(j)
-                    elif rank[j] != want:
-                        return None
-                for j in self._down[i]:
-                    want = rank[i] - 1
-                    if rank[j] is None:
-                        rank[j] = want
-                        component.append(j)
-                        queue.append(j)
-                    elif rank[j] != want:
-                        return None
+            for i in component:  # the component grows while it is walked
+                for step, neighbours in ((1, self._up[i]), (-1, self._down[i])):
+                    for j in neighbours:
+                        if rank[j] is None:
+                            rank[j] = rank[i] + step
+                            component.append(j)
+                        elif rank[j] != rank[i] + step:
+                            return None
             base = min(rank[i] for i in component)
             for i in component:
                 rank[i] -= base
@@ -226,12 +204,18 @@ class Poset:
         return len(self.elements)
 
     @property
+    def covers(self) -> tuple[tuple[str, str], ...]:
+        """The cover pairs as labels, sorted by index pair."""
+        ids = self.elements
+        return tuple((ids[i], ids[j]) for i, ups in enumerate(self._up) for j in ups)
+
+    @property
     def minimal_elements(self) -> tuple[str, ...]:
-        return self._minimals
+        return tuple(e for e, down in zip(self.elements, self._down) if not down)
 
     @property
     def maximal_elements(self) -> tuple[str, ...]:
-        return self._maximals
+        return tuple(e for e, up in zip(self.elements, self._up) if not up)
 
     def index(self, x) -> int:
         try:
@@ -251,32 +235,29 @@ class Poset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.elements == other.elements and self.covers == other.covers
+        return self.elements == other.elements and self._up == other._up
 
     def __hash__(self) -> int:
-        return hash((self.elements, self.covers))
+        return hash((self.elements, self._up))
 
     def __repr__(self) -> str:
-        return f"Poset(n={len(self.elements)}, covers={len(self.covers)})"
+        return f"Poset(n={len(self.elements)}, covers={sum(map(len, self._up))})"
 
 
 class PosetMap:
     """A validated order automorphism of a poset.
 
-    ``source`` is the carrier poset and ``image`` the underlying dict.
-    The constructor rejects anything that is not a bijection carrying the
+    ``source`` is the carrier poset and ``_perm`` the permutation of
+    element indices; ``image`` is the label dict derived from it. The
+    constructor rejects anything that is not a bijection carrying the
     cover set onto itself; on a finite poset that is the same as
     preserving the order in both directions.
     """
 
-    __slots__ = ("source", "image", "_perm")
+    __slots__ = ("source", "_perm")
 
-    def __init__(self, source: Poset, image: Mapping, *, _trusted_perm: Optional[tuple[int, ...]] = None):
+    def __init__(self, source: Poset, image: Mapping):
         self.source = source
-        if _trusted_perm is not None:
-            self._perm = _trusted_perm
-            self.image = {source.elements[i]: source.elements[j] for i, j in enumerate(_trusted_perm)}
-            return
         mapping = {str(k): str(v) for k, v in image.items()}
         if set(mapping) != set(source.elements):
             raise NotAutomorphismError("map is not total on the element set")
@@ -292,7 +273,11 @@ class PosetMap:
         if any(perm[j] not in up[perm[i]] for i in range(len(perm)) for j in up[i]):
             raise NotAutomorphismError("map does not preserve the order both ways")
         self._perm = tuple(perm)
-        self.image = mapping
+
+    @property
+    def image(self) -> dict[str, str]:
+        ids = self.source.elements
+        return {ids[i]: ids[j] for i, j in enumerate(self._perm)}
 
     def __call__(self, x) -> str:
         return self.source.elements[self._perm[self.source.index(x)]]
@@ -304,14 +289,13 @@ class PosetMap:
         inv = [0] * len(self._perm)
         for i, j in enumerate(self._perm):
             inv[j] = i
-        return PosetMap(self.source, {}, _trusted_perm=tuple(inv))
+        return _map(self.source, inv)
 
     def compose(self, other: "PosetMap") -> "PosetMap":
         """self after other (apply ``other`` first)."""
         if other.source is not self.source and other.source != self.source:
             raise NotAutomorphismError("composition requires maps on the same poset")
-        perm = tuple(self._perm[j] for j in other._perm)
-        return PosetMap(self.source, {}, _trusted_perm=perm)
+        return _map(self.source, [self._perm[j] for j in other._perm])
 
     def power(self, k: int) -> "PosetMap":
         n = len(self._perm)
@@ -324,7 +308,7 @@ class PosetMap:
                 result = tuple(base[i] for i in result)
             base = tuple(base[i] for i in base)
             k >>= 1
-        return PosetMap(self.source, {}, _trusted_perm=result)
+        return _map(self.source, result)
 
     def order(self) -> int:
         """Multiplicative order, the lcm of the cycle lengths."""
@@ -378,6 +362,13 @@ def _poset(ids: tuple[str, ...], below: list[int], pairs: Sequence[tuple[int, in
     return P
 
 
+def _map(P: Poset, perm: Sequence[int]) -> PosetMap:
+    """An automorphism from its index permutation, trusted as given."""
+    f = PosetMap.__new__(PosetMap)
+    f.source, f._perm = P, tuple(perm)
+    return f
+
+
 def leq(P: Poset, x, y) -> bool:
     """x <= y in the reflexive order."""
     i, j = P.index(x), P.index(y)
@@ -386,7 +377,11 @@ def leq(P: Poset, x, y) -> bool:
 
 def induced_subposet(P: Poset, subset: Iterable) -> Poset:
     """Order restriction to a subset; covers are recomputed by reduction."""
-    idxs = sorted({P.index(x) for x in subset})
+    return _induced(P, sorted({P.index(x) for x in subset}))
+
+
+def _induced(P: Poset, idxs: list[int]) -> Poset:
+    """``induced_subposet`` on element indices given in ascending order."""
     rows = [P._below[j] for j in idxs]
     pairs = [(a, b) for a, i in enumerate(idxs) for b, row in enumerate(rows) if row >> i & 1]
     ids = tuple(P.elements[i] for i in idxs)
@@ -431,9 +426,14 @@ def rank_function(P: Poset) -> Optional[dict[str, int]]:
 def mobius(P: Poset, x, y) -> int:
     """Mobius value computed by downward recursion, memoized per column."""
     ix, iy = P.index(x), P.index(y)
-    below = P._below
-    if not (ix == iy or below[iy] >> ix & 1):
+    if not (ix == iy or P._below[iy] >> ix & 1):
         raise NotComparableError(f"{x!r} is not below {y!r}")
+    return _mobius(P, ix, iy)
+
+
+def _mobius(P: Poset, ix: int, iy: int) -> int:
+    """``mobius`` on the element indices ix <= iy."""
+    below = P._below
     col = P._mobius_cols.setdefault(ix, {ix: 1})
     if iy not in col:
         members = [
@@ -450,7 +450,7 @@ def mobius(P: Poset, x, y) -> int:
 
 def is_bounded(P: Poset) -> bool:
     """True iff the poset has a unique minimum and a unique maximum."""
-    return len(P.minimal_elements) == 1 and len(P.maximal_elements) == 1
+    return sum(not down for down in P._down) == 1 and sum(not up for up in P._up) == 1
 
 
 def _signatures(P: Poset) -> list[tuple[int, int, int, int, int]]:
@@ -473,7 +473,7 @@ def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
     in both directions is the same as being an order isomorphism.
     """
     n = len(P)
-    if n != len(Q) or len(P.covers) != len(Q.covers):
+    if n != len(Q) or sum(map(len, P._up)) != sum(map(len, Q._up)):
         return []
     if (P._rank is None) != (Q._rank is None):
         return []
@@ -527,7 +527,7 @@ def automorphisms(P: Poset) -> list[PosetMap]:
     """All order automorphisms, deterministically ordered; contains identity."""
     perms = _iso_search(P, P, find_all=True)
     perms.sort()
-    return [PosetMap(P, {}, _trusted_perm=perm) for perm in perms]
+    return [_map(P, perm) for perm in perms]
 
 
 def is_automorphism(P: Poset, f: Mapping) -> bool:

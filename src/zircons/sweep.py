@@ -31,23 +31,15 @@ from .matchings import (
     _special_partners,
     matching_pairs,
 )
-from .posets import (
-    Poset,
-    automorphisms,
-    is_bounded,
-    leq,
-    mobius,
-    poset_to_dict,
-    rank_function,
-)
+from .posets import Poset, _mobius, automorphisms, is_bounded, poset_from_dict, poset_to_dict
 from .zircon import (
     ConstructionError,
     ExtremaError,
     _descend,
     _extrema,
     _fixed_point_matching,
+    _fixed_subposet,
     _matching_family,
-    fixed_point_subposet,
     is_zircon,
 )
 
@@ -80,10 +72,6 @@ class SweepReport:
     @property
     def violations(self) -> int:
         return self.summary.get("violations", 0)
-
-    @property
-    def panics(self) -> int:
-        return self.summary.get("panics", 0)
 
     def to_dict(self) -> dict:
         return {
@@ -169,23 +157,20 @@ def _record(poset_id: str, check: str, ok: bool, *, matching: Optional[int] = No
 
 def _sphericity_witness(P: Poset) -> Optional[list]:
     """First interval violating mu(x, y) = (-1)^(rank difference), if any."""
-    ranks = rank_function(P)
-    if ranks is None:
+    rank, below = P._rank, P._below
+    if rank is None:
         return ["unranked zircon"]
-    for x in P.elements:
-        for y in P.elements:
-            if not leq(P, x, y):
-                continue
-            expected = (-1) ** (ranks[y] - ranks[x])
-            if mobius(P, x, y) != expected:
-                return [x, y]
+    for x in range(len(P)):
+        for y in range(len(P)):
+            if (x == y or below[y] >> x & 1) and _mobius(P, x, y) != (-1) ** (rank[y] - rank[x]):
+                return [P.elements[x], P.elements[y]]
     return None
 
 
 def _ideal_minimum_witness(P: Poset) -> Optional[str]:
     """First non-minimal element whose ideal lacks a unique minimum: the
     minima of the ideal below x are the minimal elements of P below x."""
-    minimal_mask = sum(1 << P.index(m) for m in P.minimal_elements)
+    minimal_mask = sum(1 << i for i, down in enumerate(P._down) if not down)
     for x, below in zip(P.elements, P._below):
         if below and (below & minimal_mask).bit_count() != 1:
             return x
@@ -240,8 +225,6 @@ def _proof_step_records(poset_id: str, P: Poset, family, m_idx: int, a_idx: int)
 
 def sweep_case(payload: dict) -> list[dict]:
     """All check records for one poset. Pure; safe to fan out."""
-    from .posets import poset_from_dict
-
     poset_id = payload["poset_id"]
     P = poset_from_dict(payload["poset"])
     mode = payload["mode"]
@@ -250,7 +233,7 @@ def sweep_case(payload: dict) -> list[dict]:
 
     zircon = is_zircon(P)
     # the two zircon definitions agree iff every zircon is ranked
-    records.append(_record(poset_id, "definitions_agree", not zircon or rank_function(P) is not None))
+    records.append(_record(poset_id, "definitions_agree", not zircon or P._rank is not None))
 
     autos = automorphisms(P)
     try:
@@ -261,19 +244,8 @@ def sweep_case(payload: dict) -> list[dict]:
         truncated = True
         records.append(_record(poset_id, "enumeration_truncated", False, witness=str(exc)))
 
-    if zircon:
-        witness = _ideal_minimum_witness(P)
-        records.append(_record(poset_id, "ideal_unique_minimum", witness is None, witness=witness))
-        witness = _sphericity_witness(P)
-        records.append(_record(poset_id, "mobius_sphericity", witness is None, witness=witness))
-        for a_idx, phi in enumerate(autos):
-            sub = fixed_point_subposet(P, phi)
-            records.append(_record(poset_id, "fixed_points_zircon", is_zircon(sub),
-                                   automorphism=a_idx))
-
-    bounded = is_bounded(P)
     skip_reason = None
-    if not bounded:
+    if not is_bounded(P):
         skip_reason = "not bounded"
     elif truncated:
         skip_reason = "matching enumeration truncated"
@@ -281,6 +253,18 @@ def sweep_case(payload: dict) -> list[dict]:
         skip_reason = "no special matching"
     elif mode == "random" and len(autos) == 1:
         skip_reason = "only the trivial automorphism"
+    # one fixed-point subposet per automorphism, for every check that reads it
+    fixed = [_fixed_subposet(P, phi) for phi in autos] if zircon or skip_reason is None else []
+
+    if zircon:
+        witness = _ideal_minimum_witness(P)
+        records.append(_record(poset_id, "ideal_unique_minimum", witness is None, witness=witness))
+        witness = _sphericity_witness(P)
+        records.append(_record(poset_id, "mobius_sphericity", witness is None, witness=witness))
+        for a_idx, sub in enumerate(fixed):
+            records.append(_record(poset_id, "fixed_points_zircon", is_zircon(sub),
+                                   automorphism=a_idx))
+
     if skip_reason is not None:
         records.append(_record(poset_id, "theorem_suite_skipped", True, info=skip_reason))
         return records
@@ -296,7 +280,7 @@ def sweep_case(payload: dict) -> list[dict]:
         for m_idx, partner in enumerate(specials):
             family = _matching_family(partner, phi)
             try:
-                m_phi = _fixed_point_matching(P, family)
+                m_phi = _fixed_point_matching(P, family, fixed[a_idx])
                 pairs = matching_pairs(m_phi)
                 records.append(_record(poset_id, "fixed_point_special", True,
                                        matching=m_idx, automorphism=a_idx,

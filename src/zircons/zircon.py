@@ -38,10 +38,9 @@ from .posets import (
     NotAutomorphismError,
     UnknownElementError,
     _bits,
-    induced_subposet,
+    _convex_subposet,
+    _induced,
     is_bounded,
-    principal_ideal,
-    rank_function,
 )
 
 __all__ = [
@@ -95,26 +94,22 @@ class MatchingFamily:
 
 def is_zircon(P: Poset) -> bool:
     """Every principal ideal below a non-minimal element has a special
-    matching. Finiteness is automatic in this representation."""
-    minimal = set(P.minimal_elements)
-    for x in P.elements:
-        if x in minimal:
-            continue
-        if not has_special_matching(principal_ideal(P, x)):
-            return False
-    return True
+    matching. Finiteness is automatic in this representation; an element
+    is non-minimal iff its downset row is non-zero."""
+    return all(has_special_matching(_convex_subposet(P, _bits(row | 1 << i)))
+               for i, row in enumerate(P._below) if row)
 
 
 def is_zircon_ranked(P: Poset) -> bool:
     """Ranked variant of the zircon condition: a rank function must exist
     and every non-trivial principal ideal must have a special matching."""
-    return rank_function(P) is not None and is_zircon(P)
+    return P._rank is not None and is_zircon(P)
 
 
 def definitions_agree(P: Poset) -> bool:
     """Regression oracle: the two zircon definitions are provably the same
     class, so this must always return True. It says: every zircon is ranked."""
-    return not is_zircon(P) or rank_function(P) is not None
+    return not is_zircon(P) or P._rank is not None
 
 
 def _as_poset_map(P: Poset, f) -> PosetMap:
@@ -237,8 +232,11 @@ def greedy_descend(
 
 def fixed_point_subposet(P: Poset, phi) -> Poset:
     """Induced subposet on the fixed points of an automorphism."""
-    fm = _as_poset_map(P, phi)
-    return induced_subposet(P, fm.fixed_points())
+    return _fixed_subposet(P, _as_poset_map(P, phi))
+
+
+def _fixed_subposet(P: Poset, phi: PosetMap) -> Poset:
+    return _induced(P, [i for i, j in enumerate(phi._perm) if i == j])
 
 
 def _require_bounded(P: Poset) -> None:
@@ -246,9 +244,10 @@ def _require_bounded(P: Poset) -> None:
         raise BoundednessError("fixed-point construction requires a bounded poset")
 
 
-def _fixed_point_matching(P: Poset, family: MatchingFamily) -> dict[str, str]:
+def _fixed_point_matching(P: Poset, family: MatchingFamily, fixed: Poset) -> dict[str, str]:
     """Pair each fixed point with the opposite extremum of its component,
-    then check once that the pairing is special on the fixed points."""
+    then check once that the pairing is special on ``fixed``, the
+    fixed-point subposet of the family's automorphism."""
     labels = P.elements
     result: dict[str, str] = {}
     for p, image in enumerate(family.automorphism._perm):
@@ -261,7 +260,7 @@ def _fixed_point_matching(P: Poset, family: MatchingFamily) -> dict[str, str]:
             )
         result[labels[p]] = labels[lo if p == hi else hi]
     try:
-        verdict = is_special(induced_subposet(P, family.automorphism.fixed_points()), result)
+        verdict = is_special(fixed, result)
     except (MatchingError, UnknownElementError) as exc:
         raise ConstructionError("induced pairing is not a matching on the fixed points") from exc
     if not verdict:
@@ -282,25 +281,29 @@ def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
     """
     fm = _as_poset_map(P, phi)
     _require_bounded(P)
-    return _fixed_point_matching(P, matching_family(P, M, fm))
+    return _fixed_point_matching(P, matching_family(P, M, fm), _fixed_subposet(P, fm))
 
 
 def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
     """JSON-ready record of one fixed-point construction run."""
-    fm = _as_poset_map(P, phi)
-    family = matching_family(P, M, fm)
+    return _fixed_point_report(P, matching_family(P, M, _as_poset_map(P, phi)))
+
+
+def _fixed_point_report(P: Poset, family: MatchingFamily) -> dict:
+    """``fixed_point_report`` on a family whose base matching is special."""
+    phi = family.automorphism
     report = {
         "n": len(P),
         "order_N": family.order,
         "components": [[P.elements[i] for i in _bits(mask)] for mask in family.components],
-        "fixed_points": list(fm.fixed_points()),
+        "fixed_points": list(phi.fixed_points()),
         "special": False,
         "witness": None,
         "m_phi": None,
     }
     try:
         _require_bounded(P)
-        m_phi = _fixed_point_matching(P, family)
+        m_phi = _fixed_point_matching(P, family, _fixed_subposet(P, phi))
     except (BoundednessError, ConstructionError, ExtremaError) as exc:
         report["witness"] = str(exc)
         return report

@@ -385,6 +385,38 @@ class TestSerialization:
         assert "rank=same" in dot  # graded, so layers are aligned
 
 
+class TestDerivedViews:
+    """The label views are derived from the index data; they must agree
+    with it and with the definitions, on every class with n <= 5 and
+    every automorphism of it."""
+
+    def test_covers_sorted_and_rebuild(self, corpus_to_5):
+        for P in corpus_to_5:
+            pairs = [(P.index(a), P.index(b)) for a, b in P.covers]
+            assert pairs == sorted(pairs)
+            assert set(P.covers) == brute_covers(P.elements, P.covers)
+            Q = build_poset(P.elements, P.covers)
+            assert Q == P and hash(Q) == hash(P)
+
+    def test_extremal_elements(self, corpus_to_5):
+        for P in corpus_to_5:
+            def strictly_below(x):
+                return [y for y in P.elements if y != x and leq(P, y, x)]
+
+            def strictly_above(x):
+                return [y for y in P.elements if y != x and leq(P, x, y)]
+
+            assert P.minimal_elements == tuple(x for x in P if not strictly_below(x))
+            assert P.maximal_elements == tuple(x for x in P if not strictly_above(x))
+
+    def test_maps_rebuild_from_their_image(self, corpus_to_5):
+        for P in corpus_to_5:
+            for f in automorphisms(P):
+                assert set(f.image) == set(P.elements)
+                assert all(f(x) == y for x, y in f.image.items())
+                assert PosetMap(P, f.image) == f
+
+
 @st.composite
 def relation_lists(draw):
     n = draw(st.integers(min_value=1, max_value=6))

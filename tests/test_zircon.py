@@ -427,14 +427,14 @@ def check_calls(monkeypatch):
 
 @pytest.fixture()
 def validated_maps(monkeypatch):
-    """Sizes of the posets that a ``PosetMap`` is validated on."""
+    """Sizes of the posets that a ``PosetMap`` is validated on: every call
+    of the constructor validates."""
     validated = []
     real_init = PosetMap.__init__
 
-    def counting(self, source, image, *, _trusted_perm=None):
-        if _trusted_perm is None:
-            validated.append(len(source))
-        real_init(self, source, image, _trusted_perm=_trusted_perm)
+    def counting(self, source, image):
+        validated.append(len(source))
+        real_init(self, source, image)
 
     monkeypatch.setattr(PosetMap, "__init__", counting)
     return validated
@@ -482,6 +482,15 @@ class TestChecksRunOnce:
         assert len(built) == len(cases)
         assert 3 in built  # the rotations are among the automorphisms
 
+    def test_sweep_builds_one_fixed_subposet_per_automorphism(self, monkeypatch, cube):
+        built = _count_calls(monkeypatch, "zircon", "_fixed_subposet")
+        payload = {"poset_id": "cube", "poset": poset_to_dict(cube),
+                   "mode": "exhaustive", "cap": 100}
+        cases = [r for r in sweep_case(payload) if r["check"] == "fixed_point_special"]
+        assert len(cases) > len(automorphisms(cube)) > 1
+        # shared by the fixed_points_zircon check and every construction
+        assert built == [len(cube)] * len(automorphisms(cube))
+
     def test_sweep_case_checks_only_the_constructions(self, check_calls, cube):
         """The sweep does not check the matchings its own search found, on
         the cube or anywhere: the checks run once per (automorphism,
@@ -510,9 +519,8 @@ class TestChecksRunOnce:
         report = json.loads((tmp_path / "report.json").read_text())
         assert rc == 0 and report["fixed_point"]["special"]
         assert validated_maps == [24]
-        # M by check itself, by verify_lifting and by matching_family; m_phi once
-        assert check_calls == {"special": [24, 24, 24, fixed],
-                               "matching": [24, 24, 24, fixed]}
+        # M once, by check itself; m_phi once
+        assert check_calls == {"special": [24, fixed], "matching": [24, fixed]}
 
     def test_coxeter_twisted_builds_the_map_once(self, validated_maps, monkeypatch, tmp_path):
         induced = _count_calls(monkeypatch, "posets", "induced_subposet")
