@@ -269,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", metavar="PATH", default=None,
                         help="write the artifact here instead of stdout")
-    common.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for sweeps (default: all cores)")
-    common.add_argument("--cap-matchings", type=int, default=DEFAULT_MATCHING_LIMIT,
-                        metavar="K", help="abort enumeration beyond K matchings")
 
     parser = argparse.ArgumentParser(
         prog="zircons",
@@ -290,6 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="run a corpus sweep manifest")
     p.add_argument("manifest")
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="worker processes (default: all cores)")
+    p.add_argument("--cap-matchings", type=int, default=DEFAULT_MATCHING_LIMIT,
+                   metavar="K", help="abort enumeration beyond K matchings")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("coxeter", parents=[common],

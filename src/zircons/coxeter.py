@@ -11,8 +11,12 @@ ShortLex-minimal reduced word, which doubles as its label ("e", "s1",
 criterion: v is covered by w exactly when v = w*t for a reflection t and
 the lengths differ by one.
 
-Practical scale: building the Bruhat poset is cubic in the group order,
-so keep groups below a few thousand elements for poset-level work.
+Inside the module an element is its index in ``CoxeterSystem.elements``,
+which is also its index in the Bruhat poset. Models are multiplied only
+while the system is built; from then on the descent matchings, diagram
+automorphisms and twisted maps read the generator tables and the
+inverse map as index lists, and labels are made only for results,
+witnesses and errors.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .matchings import MatchingError, _failing_covers, is_special
-from .posets import Poset, PosetMap, _bits, _induced, build_poset
+from .posets import Poset, PosetMap, _bits, _induced, build_poset, principal_ideal
 
 __all__ = [
     "CoxeterError",
@@ -103,7 +107,14 @@ def _permutation_model(family: str, rank: int) -> list[tuple[int, ...]]:
 
 class CoxeterSystem:
     """A fully enumerated finite Coxeter group of type A, B, D, or I2,
-    its elements modelled as permutations of the points 1..d."""
+    its elements modelled as permutations of the points 1..d.
+
+    Element i is ``elements[i]``, in (length, word) order. The generator
+    action is tabulated once, as index lists: ``_right[k][i]`` is the
+    index of w_i s_{k+1} and ``_left[k][i]`` that of s_{k+1} w_i;
+    ``_inverse[i]`` is the index of w_i^-1 and ``_index`` maps a model
+    to its index.
+    """
 
     def __init__(self, type_spec: str, order_cap: int = DEFAULT_ORDER_CAP):
         family, rank = _parse_type_spec(type_spec)
@@ -123,6 +134,7 @@ class CoxeterSystem:
         self.generators = [f"s{i}" for i in range(1, len(self._gen_models) + 1)]
         self._identity = tuple(range(1, len(self._gen_models[0]) + 1))
 
+        # breadth-first lengths; each element keeps its own, so this stays local
         lengths: dict[tuple, int] = {self.identity_model(): 0}
         frontier = [self.identity_model()]
         while frontier:
@@ -138,7 +150,6 @@ class CoxeterSystem:
             raise CoxeterError(
                 f"model enumeration produced {len(lengths)} elements, expected {expected}"
             )
-        self._lengths = lengths
 
         words: dict[tuple, tuple[int, ...]] = {self.identity_model(): ()}
         for w in sorted(lengths, key=lambda m: lengths[m]):
@@ -155,8 +166,13 @@ class CoxeterSystem:
             word = words[w]
             label = "e" if not word else ".".join(f"s{i}" for i in word)
             self.elements.append(GroupElement(w, lengths[w], word, label))
-        self._by_model = {el.model: el for el in self.elements}
+        self._index = {el.model: i for i, el in enumerate(self.elements)}
         self._by_label = {el.label: el for el in self.elements}
+        self._right = [[self._index[self.mul(el.model, g)] for el in self.elements]
+                       for g in self._gen_models]
+        self._left = [[self._index[self.mul(g, el.model)] for el in self.elements]
+                      for g in self._gen_models]
+        self._inverse = [self._index[self.inv(el.model)] for el in self.elements]
 
         refl = set()
         for el in self.elements:
@@ -212,9 +228,13 @@ class CoxeterSystem:
             if key not in self._by_label:
                 raise CoxeterError(f"unknown element label {key!r}")
             return self._by_label[key]
-        if isinstance(key, tuple) and key in self._by_model:
-            return self._by_model[key]
+        if isinstance(key, tuple) and key in self._index:
+            return self.elements[self._index[key]]
         raise CoxeterError(f"unknown element {key!r}")
+
+    def _position(self, key) -> int:
+        """The index of ``element(key)``."""
+        return self._index[self.element(key).model]
 
     def length(self, key) -> int:
         return self.element(key).length
@@ -235,21 +255,23 @@ class CoxeterSystem:
     def gen_model(self, s) -> tuple:
         return self._gen_models[self.gen_index(s) - 1]
 
+    def _table(self, side: str) -> list[list[int]]:
+        return self._right if side == "right" else self._left
+
+    def _lowers(self, images: list[int], i: int) -> bool:
+        """The descent test: does the generator whose table is ``images``
+        shorten element i?"""
+        return self.elements[images[i]].length < self.elements[i].length
+
+    def _descents(self, key, tables: list[list[int]]) -> list[str]:
+        i = self._position(key)
+        return [name for name, images in zip(self.generators, tables) if self._lowers(images, i)]
+
     def right_descents(self, key) -> list[str]:
-        w = self.element(key)
-        return [
-            name
-            for name, g in zip(self.generators, self._gen_models)
-            if self._lengths[self.mul(w.model, g)] < w.length
-        ]
+        return self._descents(key, self._right)
 
     def left_descents(self, key) -> list[str]:
-        w = self.element(key)
-        return [
-            name
-            for name, g in zip(self.generators, self._gen_models)
-            if self._lengths[self.mul(g, w.model)] < w.length
-        ]
+        return self._descents(key, self._left)
 
     def longest_element(self) -> GroupElement:
         return max(self.elements, key=lambda el: el.length)
@@ -260,9 +282,9 @@ class CoxeterSystem:
             covers = []
             for el in self.elements:
                 for t in self.reflections:
-                    v = self.mul(el.model, t)
-                    if self._lengths[v] == el.length - 1:
-                        covers.append((self._by_model[v].label, el.label))
+                    v = self.elements[self._index[self.mul(el.model, t)]]
+                    if v.length == el.length - 1:
+                        covers.append((v.label, el.label))
             labels = [el.label for el in self.elements]
             self._bruhat = build_poset(labels, covers, mode="covers")
         return self._bruhat
@@ -293,26 +315,20 @@ def descent_matching(
     """
     if side not in ("right", "left"):
         raise CoxeterError(f"side must be 'right' or 'left', got {side!r}")
-    wp = W.element(w)
-    g = W.gen_model(s)
-    if side == "right":
-        if W._lengths[W.mul(wp.model, g)] >= wp.length:
-            raise CoxeterError(f"{s!r} is not a right descent of {wp.label!r}")
-    else:
-        if W._lengths[W.mul(g, wp.model)] >= wp.length:
-            raise CoxeterError(f"{s!r} is not a left descent of {wp.label!r}")
+    i = W._position(w)
+    images = W._table(side)[W.gen_index(s) - 1]
+    label = W.elements[i].label
+    if not W._lowers(images, i):
+        raise CoxeterError(f"{s!r} is not a {side} descent of {label!r}")
+    B = W.bruhat_poset()  # indexed like W.elements
     if ideal is None:
-        from .posets import principal_ideal
-
-        ideal = principal_ideal(W.bruhat_poset(), wp.label)
+        ideal = principal_ideal(B, label)
     mapping: dict[str, str] = {}
     for x in ideal.elements:
-        xm = W.element(x).model
-        ym = W.mul(xm, g) if side == "right" else W.mul(g, xm)
-        y = W._by_model[ym].label
+        y = B.elements[images[B._index[x]]]
         if y not in ideal:
             raise CoxeterError(
-                f"descent image {y!r} leaves the ideal of {wp.label!r}; model bug"
+                f"descent image {y!r} leaves the ideal of {label!r}; model bug"
             )
         mapping[x] = y
     try:
@@ -333,11 +349,7 @@ def _descent_pass(W: CoxeterSystem, s, side: str) -> tuple[list[int], int, int, 
     condition, in ``covers`` order.
     """
     B = W.bruhat_poset()  # indexed like W.elements
-    g = W.gen_model(s)
-    perm = [
-        B._index[W._by_model[W.mul(el.model, g) if side == "right" else W.mul(g, el.model)].label]
-        for el in W.elements
-    ]
+    perm = W._table(side)[W.gen_index(s) - 1]
     below, up, down = B._below, B._up, B._down
     lower = bad = 0
     for x, y in enumerate(perm):
@@ -363,7 +375,7 @@ def _check_descent(W: CoxeterSystem, w: GroupElement, s, side: str, passes: dict
     B = W.bruhat_poset()
     labels = B.elements
     i = B._index[w.label]
-    if W.elements[perm[i]].length >= w.length:
+    if not W._lowers(perm, i):
         raise CoxeterError(f"{s!r} is not a {side} descent of {w.label!r}")
     ideal = B._below[i] | 1 << i
     # An element that s lowers stays in the downset, so only the others
@@ -388,7 +400,11 @@ def _check_descent(W: CoxeterSystem, w: GroupElement, s, side: str, passes: dict
 class DiagramAutomorphism:
     """Generator permutation preserving the Coxeter matrix, extended to
     the whole group and verified to be a homomorphism. It need not be an
-    involution (D4 triality has order 3); ``twisted_map`` requires one."""
+    involution (D4 triality has order 3); ``twisted_map`` requires one.
+
+    The extension is held as the index permutation ``_perm``: element i
+    goes to element ``_perm[i]``.
+    """
 
     def __init__(self, system: CoxeterSystem, generator_map: Mapping[str, str]):
         self.system = system
@@ -397,54 +413,35 @@ class DiagramAutomorphism:
             perm.setdefault(name, name)
         if set(perm) != set(system.generators) or set(perm.values()) != set(system.generators):
             raise CoxeterError("generator map must permute the generating set")
-        n = len(system.generators)
-        idx = {name: i for i, name in enumerate(system.generators)}
-        for i in range(n):
-            for j in range(n):
-                ti = idx[perm[system.generators[i]]]
-                tj = idx[perm[system.generators[j]]]
-                if system.coxeter_matrix[ti][tj] != system.coxeter_matrix[i][j]:
-                    raise CoxeterError(
-                        f"map does not preserve m({system.generators[i]},{system.generators[j]})"
-                    )
+        gens, m = system.generators, system.coxeter_matrix
+        image = [gens.index(perm[name]) for name in gens]
+        for i, a in enumerate(gens):
+            for j, b in enumerate(gens):
+                if m[image[i]][image[j]] != m[i][j]:
+                    raise CoxeterError(f"map does not preserve m({a},{b})")
         self.generator_map = perm
-        self._gen_image = {
-            i + 1: idx[perm[name]] + 1 for i, name in enumerate(system.generators)
-        }
 
-        images: dict[tuple, tuple] = {system.identity_model(): system.identity_model()}
-        for el in sorted(system.elements, key=lambda e: e.length):
-            if el.length == 0:
-                continue
-            first = el.word[0]
-            rest = system.mul(system._gen_models[first - 1], el.model)
-            images[el.model] = system.mul(
-                system._gen_models[self._gen_image[first] - 1], images[rest]
-            )
-        self._element_image = images
-        for el in system.elements:
-            for g_i, g in enumerate(system._gen_models, start=1):
-                lhs = images[system.mul(el.model, g)]
-                rhs = system.mul(images[el.model], system._gen_models[self._gen_image[g_i] - 1])
-                if lhs != rhs:
+        # theta(s w) = theta(s) theta(w), letter by letter along the reduced
+        # words; s w comes before w in the (length, word) order
+        left, right = system._left, system._right
+        self._perm = [0] * len(system)  # the identity is element 0
+        for i, el in enumerate(system.elements):
+            if el.word:
+                k = el.word[0] - 1
+                self._perm[i] = left[image[k]][self._perm[left[k][i]]]
+        for k, images in enumerate(right):
+            for i, j in enumerate(self._perm):
+                if self._perm[images[i]] != right[image[k]][j]:
                     raise CoxeterError("letterwise extension is not a homomorphism; model bug")
 
     def apply_model(self, model: tuple) -> tuple:
-        return self._element_image[model]
+        return self.system.elements[self._perm[self.system._index[model]]].model
 
     def apply_label(self, label: str) -> str:
-        el = self.system.element(label)
-        return self.system._by_model[self._element_image[el.model]].label
+        return self.system.elements[self._perm[self.system._position(label)]].label
 
     def is_identity(self) -> bool:
         return all(k == v for k, v in self.generator_map.items())
-
-    def fixed_labels(self) -> list[str]:
-        return [
-            el.label
-            for el in self.system.elements
-            if self._element_image[el.model] == el.model
-        ]
 
     def __repr__(self) -> str:
         moved = {k: v for k, v in self.generator_map.items() if k != v}
@@ -484,30 +481,24 @@ def twisted_map(W: CoxeterSystem, theta: DiagramAutomorphism) -> PosetMap:
         raise CoxeterError(
             f"the twisted map needs an involutive diagram automorphism, not {theta!r}"
         )
-    B = W.bruhat_poset()
-    mapping = {
-        el.label: W._by_model[theta.apply_model(W.inv(el.model))].label
-        for el in W.elements
-    }
-    pm = PosetMap(B, mapping)  # constructor verifies the order isomorphism
-    for lbl, img in mapping.items():
-        if mapping[img] != lbl:
-            raise CoxeterError("twisted map failed to be an involution; model bug")
+    B = W.bruhat_poset()  # indexed like W.elements
+    perm = [theta._perm[j] for j in W._inverse]
+    labels = B.elements
+    # the constructor verifies the order isomorphism
+    pm = PosetMap(B, {labels[i]: labels[j] for i, j in enumerate(perm)})
+    if any(perm[j] != i for i, j in enumerate(perm)):
+        raise CoxeterError("twisted map failed to be an involution; model bug")
     return pm
 
 
 def twisted_involutions(W: CoxeterSystem, theta: DiagramAutomorphism) -> list[GroupElement]:
     """Elements with theta(w) = w^-1, in (length, word) order; for an
     involutive theta, the fixed points of ``twisted_map``."""
-    return [
-        el
-        for el in W.elements
-        if theta.apply_model(el.model) == W.inv(el.model)
-    ]
+    return [el for el, j, inv in zip(W.elements, theta._perm, W._inverse) if j == inv]
 
 
 def fix_subgroup_poset(W: CoxeterSystem, theta: DiagramAutomorphism) -> Poset:
     """Bruhat order restricted to the group elements fixed by theta."""
     # the Bruhat order lists the elements in the order of W.elements
-    fixed = [i for i, el in enumerate(W.elements) if theta.apply_model(el.model) == el.model]
+    fixed = [i for i, j in enumerate(theta._perm) if i == j]
     return _induced(W.bruhat_poset(), fixed)

@@ -180,32 +180,42 @@ class TestDescentMatching:
 
 
 def _swap_s1_s2(W, monkeypatch):
-    real = W.gen_model
-    monkeypatch.setattr(W, "gen_model", lambda s: real({"s1": "s2", "s2": "s1"}.get(s, s)))
+    """s1 multiplies by s2 and s2 by s1."""
+    for name in ("_right", "_left"):
+        tables = list(getattr(W, name))
+        tables[0], tables[1] = tables[1], tables[0]
+        monkeypatch.setattr(W, name, tables)
+
+
+def _s1_multiplies_by(W, monkeypatch, model):
+    """Rebuild the tables of s1 from another group element's model."""
+    right = [W._index[W.mul(el.model, model)] for el in W.elements]
+    left = [W._index[W.mul(model, el.model)] for el in W.elements]
+    monkeypatch.setattr(W, "_right", [right] + W._right[1:])
+    monkeypatch.setattr(W, "_left", [left] + W._left[1:])
 
 
 def _s1_as_a_reflection(W, monkeypatch):
     """s1 multiplies by a reflection of length 3, which is not a simple one."""
-    real = W.gen_model
     t = next(el.model for el in W.elements if el.length == 3 and el.model in W.reflections)
-    monkeypatch.setattr(W, "gen_model", lambda s: t if s == "s1" else real(s))
+    _s1_multiplies_by(W, monkeypatch, t)
 
 
 def _s1_s2_swapped_in_lookup(W, monkeypatch):
     """Looking up a product finds s2 for s1 and s1 for s2: the descent maps
     stay along Hasse edges but stop being involutions."""
-    s1, s2 = W.element("s1"), W.element("s2")
-    monkeypatch.setitem(W._by_model, s1.model, s2)
-    monkeypatch.setitem(W._by_model, s2.model, s1)
+    i, j = W._index[W.gen_model("s1")], W._index[W.gen_model("s2")]
+    swap = {i: j, j: i}
+    for name in ("_right", "_left"):
+        tables = [[swap.get(x, x) for x in images] for images in getattr(W, name)]
+        monkeypatch.setattr(W, name, tables)
 
 
 def _s1_as_a_rotation(W, monkeypatch):
     """s1 multiplies by s1 s_j for a neighbour s_j in the diagram, an element
     of even length that is not an involution."""
-    real = W.gen_model
     j = next(j for j, m in enumerate(W.coxeter_matrix[0]) if m >= 3)
-    r = W.mul(real("s1"), W._gen_models[j])
-    monkeypatch.setattr(W, "gen_model", lambda s: r if s == "s1" else real(s))
+    _s1_multiplies_by(W, monkeypatch, W.mul(W.gen_model(1), W.gen_model(j + 1)))
 
 
 def _weak_order_as_bruhat(W, monkeypatch):
@@ -238,6 +248,11 @@ class TestDescentPass:
                         out.append(str(exc))
         return out
 
+    @staticmethod
+    def _per_generator(W):
+        passes = {}
+        return lambda el, s, side: _check_descent(W, el, s, side, passes)
+
     @pytest.mark.parametrize("type_spec", ["A3", "B3", "D4", "I2:6"])
     @pytest.mark.parametrize(
         "fault,kinds",
@@ -254,6 +269,7 @@ class TestDescentPass:
     def test_per_generator_equals_per_ideal(self, monkeypatch, type_spec, fault, kinds):
         W = build_coxeter(type_spec)
         W.bruhat_poset()  # built before the fault
+        clean = self._verdicts(W, self._per_generator(W))
         if fault:
             fault(W, monkeypatch)
         B = W.bruhat_poset()
@@ -261,15 +277,29 @@ class TestDescentPass:
         def per_ideal(el, s, side):
             descent_matching(W, el, s, side, ideal=principal_ideal(B, el.label))
 
-        passes = {}
-        got = self._verdicts(W, lambda el, s, side: _check_descent(W, el, s, side, passes))
+        got = self._verdicts(W, self._per_generator(W))
         want = self._verdicts(W, per_ideal)
         assert got == want
         assert {k for k in kinds for msg in want if msg and k in msg} == kinds
+        assert (want == clean) == (fault is None)  # a fault changes some verdict
         if fault is None:  # every descent matching is special
             assert want.count(None) == sum(
                 len(W.right_descents(el)) + len(W.left_descents(el)) for el in W.elements
             )
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "I2:6"])
+    def test_tables_follow_multiplication(self, spec):
+        W = build_coxeter(spec)
+        for name, right, left in zip(W.generators, W._right, W._left):
+            g = W.gen_model(name)
+            for i, el in enumerate(W.elements):
+                ws, sw = W.mul(el.model, g), W.mul(g, el.model)
+                assert W.elements[right[i]].model == ws
+                assert W.elements[left[i]].model == sw
+                assert (name in W.right_descents(el)) == (W.length(ws) < el.length)
+                assert (name in W.left_descents(el)) == (W.length(sw) < el.length)
+        for el, inverse in zip(W.elements, W._inverse):
+            assert W.elements[inverse].model == W.inv(el.model)
 
 
 class TestDiagramAutomorphism:

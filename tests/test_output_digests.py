@@ -2,8 +2,10 @@
 byte of a report, witness or demo printout fails here.
 
 The digests were computed on the code before the element index became
-the only element identity inside the library. A deliberate change of an
-output must update its digest here and say why in CHANGES.md.
+the only element identity inside the library; the Coxeter commands added
+later were computed on the code before generator tables replaced model
+arithmetic inside ``coxeter``. A deliberate change of an output must
+update its digest here and say why in CHANGES.md.
 """
 
 import hashlib
@@ -26,6 +28,16 @@ COMMANDS = {
     "coxeter B4 twisted id": "fcd35937c201255b4c21294eddffa45f9b43a85cdf35033d31c95e9794e8c1a2",
     "coxeter D4 twisted flip": "4989e35f13a737bfdc17a8bdbb41ce346aa6160a3624649fbc0343b3e0c0416f",
     "coxeter A3 fix-check flip --against B2": "adab0e4a97547c02ef071748358fa6e1263acd9cfe10a79b9c724b1c14f1973c",
+    "coxeter D4 zircon-check": "a7bd98eb3c42aa3ad019eb5520ff51aa8fe6f91f5af7328c3966353f01c27111",
+    "coxeter D5 zircon-check": "271f10b2ff3d3843c92e9c6f505a661152771f53347684c8500b02da0098c392",
+    "coxeter A3 export": "4f2b740a2800d5b114960fe1ff141b565268c876edbddd3824f6fee052d54049",
+    "coxeter D4 export --format dot": "f27d31ef01c4d9876af92d7ce8d351181521968ee6496a5c623ac4bd70ab6b55",
+    "coxeter I2:8 twisted flip": "ed6e7cfc7611ef9587b16c0b14b767f68cd17042a25aabe4a4c116fcb771ba04",
+    "coxeter A3 twisted s1:s3,s3:s1": "0dd66350187a068991ff6ac77051c54d1fac5a528a22fef8b1511527954a0b9a",
+    "coxeter D4 fix-check s1:s2,s2:s4,s4:s1 --against I2:6": "a5e8d2668b6cc66987db5e50a9ed0d944711dd39e9c0fe13a0401378ddf54658",
+    # exit 2: the digest covers the error message on stderr
+    "coxeter B3 twisted flip": "7e76a5911238348df101137d01b03e1352e34a55375eb5207c968b2f4f07a7db",
+    "coxeter D4 twisted s1:s2,s2:s4,s4:s1": "5abf6077396570e77859162b755c090cd9559a1b6275b17b834c3fa2e4ef1b10",
 }
 
 DEMOS = {
@@ -53,9 +65,11 @@ def test_sweep_report_digest():
 
 @pytest.mark.parametrize("command", sorted(COMMANDS), ids=lambda c: c.replace(" ", "_"))
 def test_command_digest(command, capsys):
-    """The stdout of ``zircons <command>``, prefixed with its exit code."""
+    """The stdout and then the stderr of ``zircons <command>``, prefixed
+    with its exit code."""
     rc = main(command.split())
-    assert _sha256(f"rc={rc}\n" + capsys.readouterr().out) == COMMANDS[command]
+    out, err = capsys.readouterr()
+    assert _sha256(f"rc={rc}\n" + out + err) == COMMANDS[command]
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))

@@ -413,6 +413,15 @@ class TestCoxeterCommand:
         assert main(["coxeter", "A3", action, theta]) == 2
         assert "takes no diagram automorphism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--jobs", "--cap-matchings"])
+    def test_sweep_flags_are_rejected(self, files, capsys, flag):
+        """Only sweep takes --jobs and --cap-matchings; elsewhere they are
+        malformed input, not a silently ignored setting."""
+        with pytest.raises(SystemExit) as exc:
+            main(["coxeter", "A3", "zircon-check", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
 
 class TestDotMobiusCommands:
     def test_dot(self, files, capsys):
