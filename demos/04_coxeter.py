@@ -23,8 +23,8 @@ for spec in ("A2", "A3", "B2", "B3", "D4", "I2:5"):
     W = build_coxeter(spec)
     print(f"{spec}: {len(W)} elements, longest word length {W.longest_element().length}")
 
-# Bruhat order: covers come from the reflection criterion, and the poset
-# is graded by word length.
+# Bruhat order: covers come from the lifting property, read off the
+# generator tables, and the poset is graded by word length.
 A3 = build_coxeter("A3")
 B = A3.bruhat_poset()
 ranks = rank_function(B)

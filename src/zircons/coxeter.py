@@ -4,19 +4,20 @@ Every preset is a group of permutations of points 1..d, with one
 multiplication rule: A_n permutes 1..n+1; B_n and D_n permute the 2n
 signed letters +-1..+-n (signed and even-signed permutations); I2(m)
 permutes the 2m roots of the dihedral group of order 2m. Elements are
-enumerated breadth-first from the identity, so stored lengths are
-Cayley-graph distances by construction, and each element carries its
-ShortLex-minimal reduced word, which doubles as its label ("e", "s1",
-"s2.s1", ...). Bruhat covers come from the reflection
-criterion: v is covered by w exactly when v = w*t for a reflection t and
-the lengths differ by one.
+enumerated in one breadth-first pass from the identity, multiplying on
+the right by s1, s2, ... in turn, so stored lengths are Cayley-graph
+distances by construction, and each element carries its ShortLex-minimal
+reduced word, which doubles as its label ("e", "s1", "s2.s1", ...).
+Bruhat covers come from the lifting property, one table read per cover:
+with s the last letter of w's word, the lower covers of w are ws and the
+vs above each lower cover v of ws.
 
 Inside the module an element is its index in ``CoxeterSystem.elements``,
 which is also its index in the Bruhat poset. Models are multiplied only
-while the system is built; from then on the descent matchings, diagram
-automorphisms and twisted maps read the generator tables and the
-inverse map as index lists, and labels are made only for results,
-witnesses and errors.
+in the breadth-first pass, for the inverses and for the Coxeter matrix;
+from then on the Bruhat covers, descent matchings, diagram automorphisms
+and twisted maps read the generator tables and the inverse map as index
+lists, and labels are made only for results, witnesses and errors.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
 
 DEFAULT_ORDER_CAP = 50_000
 
-_TYPE_RE = re.compile(r"^([ABD])(\d+)$|^I2[:(](\d+)\)?$")
+_TYPE_RE = re.compile(r"^([ABD])(\d+)$|^I2(?::(\d+)|\((\d+)\))$")
 
 
 class CoxeterError(ValueError):
@@ -71,7 +72,7 @@ def _parse_type_spec(type_spec: str) -> tuple[str, int]:
     if m.group(1):
         family, rank = m.group(1), int(m.group(2))
     else:
-        family, rank = "I2", int(m.group(3))
+        family, rank = "I2", int(m.group(3) or m.group(4))
     limits = {"A": 1, "B": 2, "D": 2, "I2": 2}
     if rank < limits[family]:
         raise CoxeterError(f"{family} requires parameter >= {limits[family]}")
@@ -111,9 +112,10 @@ class CoxeterSystem:
 
     Element i is ``elements[i]``, in (length, word) order. The generator
     action is tabulated once, as index lists: ``_right[k][i]`` is the
-    index of w_i s_{k+1} and ``_left[k][i]`` that of s_{k+1} w_i;
-    ``_inverse[i]`` is the index of w_i^-1 and ``_index`` maps a model
-    to its index.
+    index of w_i s_{k+1}, filled by the breadth-first pass, and
+    ``_left[k][i]`` that of s_{k+1} w_i, read off ``_right`` through the
+    inverse; ``_inverse[i]`` is the index of w_i^-1 and ``_index`` maps a
+    model to its index. The Bruhat covers come from these tables alone.
     """
 
     def __init__(self, type_spec: str, order_cap: int = DEFAULT_ORDER_CAP):
@@ -134,52 +136,33 @@ class CoxeterSystem:
         self.generators = [f"s{i}" for i in range(1, len(self._gen_models) + 1)]
         self._identity = tuple(range(1, len(self._gen_models[0]) + 1))
 
-        # breadth-first lengths; each element keeps its own, so this stays local
-        lengths: dict[tuple, int] = {self.identity_model(): 0}
-        frontier = [self.identity_model()]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in self._gen_models:
-                    v = self.mul(w, g)
-                    if v not in lengths:
-                        lengths[v] = lengths[w] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(lengths) != expected:
+        # One breadth-first pass, multiplying on the right by s1, s2, ... in
+        # turn. ShortLex-least reduced words are prefix-closed, so each
+        # element is first reached along its own word, and the elements
+        # arrive in (length, word) order.
+        self._index = {self._identity: 0}
+        models, words = [self._identity], [()]
+        self._right: list[list[int]] = [[] for _ in self._gen_models]
+        for i, w in enumerate(models):  # models grows while it is walked
+            for k, g in enumerate(self._gen_models):
+                v = self.mul(w, g)
+                if v not in self._index:
+                    self._index[v] = len(models)
+                    models.append(v)
+                    words.append(words[i] + (k + 1,))
+                self._right[k].append(self._index[v])
+        if len(models) != expected:
             raise CoxeterError(
-                f"model enumeration produced {len(lengths)} elements, expected {expected}"
+                f"model enumeration produced {len(models)} elements, expected {expected}"
             )
-
-        words: dict[tuple, tuple[int, ...]] = {self.identity_model(): ()}
-        for w in sorted(lengths, key=lambda m: lengths[m]):
-            if lengths[w] == 0:
-                continue
-            for i, g in enumerate(self._gen_models, start=1):
-                u = self.mul(g, w)
-                if lengths[u] == lengths[w] - 1:
-                    words[w] = (i,) + words[u]
-                    break
-
-        self.elements: list[GroupElement] = []
-        for w in sorted(lengths, key=lambda m: (lengths[m], words[m])):
-            word = words[w]
-            label = "e" if not word else ".".join(f"s{i}" for i in word)
-            self.elements.append(GroupElement(w, lengths[w], word, label))
-        self._index = {el.model: i for i, el in enumerate(self.elements)}
+        self.elements = [
+            GroupElement(w, len(word), word, ".".join(f"s{i}" for i in word) or "e")
+            for w, word in zip(models, words)
+        ]
         self._by_label = {el.label: el for el in self.elements}
-        self._right = [[self._index[self.mul(el.model, g)] for el in self.elements]
-                       for g in self._gen_models]
-        self._left = [[self._index[self.mul(g, el.model)] for el in self.elements]
-                      for g in self._gen_models]
-        self._inverse = [self._index[self.inv(el.model)] for el in self.elements]
-
-        refl = set()
-        for el in self.elements:
-            inv_w = self.inv(el.model)
-            for g in self._gen_models:
-                refl.add(self.mul(self.mul(el.model, g), inv_w))
-        self.reflections = frozenset(refl)
+        self._inverse = [self._index[self.inv(w)] for w in models]
+        # s w = (w^-1 s)^-1
+        self._left = [[self._inverse[images[j]] for j in self._inverse] for images in self._right]
 
         n = len(self.generators)
         self.coxeter_matrix = [[0] * n for _ in range(n)]
@@ -277,15 +260,20 @@ class CoxeterSystem:
         return max(self.elements, key=lambda el: el.length)
 
     def bruhat_poset(self) -> Poset:
-        """The Bruhat order on the whole group, built once and cached."""
+        """The Bruhat order on the whole group, built once and cached.
+
+        With s the last letter of w's word, the lower covers of w are ws
+        and every vs with v a lower cover of ws and vs above v: the lifting
+        property (Bjorner-Brenti, GTM 231, Prop. 2.2.7).
+        """
         if self._bruhat is None:
-            covers = []
-            for el in self.elements:
-                for t in self.reflections:
-                    v = self.elements[self._index[self.mul(el.model, t)]]
-                    if v.length == el.length - 1:
-                        covers.append((v.label, el.label))
+            lower: list[list[int]] = [[]]  # the lower covers of each element
+            for i, el in enumerate(self.elements[1:], start=1):
+                images = self._right[el.word[-1] - 1]
+                u = images[i]
+                lower.append([u] + [images[v] for v in lower[u] if not self._lowers(images, v)])
             labels = [el.label for el in self.elements]
+            covers = [(labels[v], w) for w, vs in zip(labels, lower) for v in vs]
             self._bruhat = build_poset(labels, covers, mode="covers")
         return self._bruhat
 

@@ -25,6 +25,23 @@ from zircons.posets import PosetMap, induced_subposet
 TRIALITY = "s1:s2,s2:s4,s4:s1"
 
 
+def _distances(W):
+    """Cayley-graph distances from the identity, by a fresh breadth-first
+    search over generator multiplication, keyed by model."""
+    dist = {W.identity_model(): 0}
+    frontier = [W.identity_model()]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for name in W.generators:
+                v = W.mul(w, W.gen_model(name))
+                if v not in dist:
+                    dist[v] = dist[w] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 class TestBuild:
     @pytest.mark.parametrize(
         "spec,order,max_len",
@@ -46,18 +63,7 @@ class TestBuild:
         assert W.longest_element().length == max_len
 
     def test_lengths_are_bfs_distances(self, b2):
-        # re-derive distances with a fresh BFS over generator multiplication
-        dist = {b2.identity_model(): 0}
-        frontier = [b2.identity_model()]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for name in b2.generators:
-                    v = b2.mul(w, b2.gen_model(name))
-                    if v not in dist:
-                        dist[v] = dist[w] + 1
-                        nxt.append(v)
-            frontier = nxt
+        dist = _distances(b2)
         for el in b2.elements:
             assert el.length == dist[el.model]
 
@@ -68,6 +74,33 @@ class TestBuild:
                 acc = a3.mul(acc, a3.gen_model(i))
             assert acc == el.model
             assert len(el.word) == el.length
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "I2:5"])
+    def test_labels_are_shortlex_least(self, spec):
+        """Each word is the lexicographically least of all generator words
+        of length l(w) that multiply out to w, and the elements come in
+        (length, word) order."""
+        W = build_coxeter(spec)
+        gens = [W.gen_model(name) for name in W.generators]
+        dist = _distances(W)
+        # A word of length l(w) that multiplies out to w has only prefixes
+        # of full length, so the walk below drops no candidate word. It
+        # visits the words of each length in lexicographic order.
+        least = {}
+        stack = [((), W.identity_model())]
+        while stack:
+            word, model = stack.pop()
+            least.setdefault(model, word)
+            for k in reversed(range(len(gens))):
+                v = W.mul(model, gens[k])
+                if dist[v] == len(word) + 1:
+                    stack.append((word + (k + 1,), v))
+        assert len(least) == len(W)
+        for el in W.elements:
+            assert el.word == least[el.model] and el.length == dist[el.model]
+            assert el.label == (".".join(f"s{i}" for i in el.word) or "e")
+        keys = [(el.length, el.word) for el in W.elements]
+        assert keys == sorted(keys)
 
     def test_coxeter_matrix(self, a3, b2):
         assert a3.coxeter_matrix == [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
@@ -142,6 +175,26 @@ class TestBruhat:
         for el in a3.elements:
             assert ranks[el.label] == el.length
 
+    @pytest.mark.parametrize(
+        "spec",
+        [*(f"A{n}" for n in range(1, 6)), "B2", "B3", "B4",
+         *(f"D{n}" for n in range(2, 6)), *(f"I2:{m}" for m in range(2, 10))],
+    )
+    def test_covers_are_the_reflection_criterion(self, spec):
+        """v is covered by w exactly when v = w t for a reflection t, a
+        conjugate w s w^-1 of a generator, and l(v) = l(w) - 1."""
+        W = build_coxeter(spec)
+        gens = [W.gen_model(name) for name in W.generators]
+        reflections = {W.mul(W.mul(el.model, g), W.inv(el.model))
+                       for el in W.elements for g in gens}
+        covers = set()
+        for w in W.elements:
+            for t in reflections:
+                v = W.element(W.mul(w.model, t))
+                if v.length == w.length - 1:
+                    covers.add((v.label, w.label))
+        assert set(W.bruhat_poset().covers) == covers
+
     def test_subword_comparabilities(self, hexagon):
         assert leq(hexagon, "s1", "s2.s1") and leq(hexagon, "s2", "s1.s2")
 
@@ -196,9 +249,11 @@ def _s1_multiplies_by(W, monkeypatch, model):
 
 
 def _s1_as_a_reflection(W, monkeypatch):
-    """s1 multiplies by a reflection of length 3, which is not a simple one."""
-    t = next(el.model for el in W.elements if el.length == 3 and el.model in W.reflections)
-    _s1_multiplies_by(W, monkeypatch, t)
+    """s1 multiplies by the reflection s_j s1 s_j for a neighbour s_j in the
+    diagram, which has length 3 and is not a simple one."""
+    j = next(j for j, m in enumerate(W.coxeter_matrix[0]) if m >= 3)
+    s1, sj = W.gen_model(1), W.gen_model(j + 1)
+    _s1_multiplies_by(W, monkeypatch, W.mul(W.mul(sj, s1), sj))
 
 
 def _s1_s2_swapped_in_lookup(W, monkeypatch):

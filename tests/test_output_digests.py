@@ -4,7 +4,9 @@ byte of a report, witness or demo printout fails here.
 The digests were computed on the code before the element index became
 the only element identity inside the library; the Coxeter commands added
 later were computed on the code before generator tables replaced model
-arithmetic inside ``coxeter``. A deliberate change of an output must
+arithmetic inside ``coxeter``, and the Bruhat exports of B5, D5, A5 and
+I2:7 on the code before the covers came from the lifting recursion in
+place of the reflection criterion. A deliberate change of an output must
 update its digest here and say why in CHANGES.md.
 """
 
@@ -32,6 +34,10 @@ COMMANDS = {
     "coxeter D5 zircon-check": "271f10b2ff3d3843c92e9c6f505a661152771f53347684c8500b02da0098c392",
     "coxeter A3 export": "4f2b740a2800d5b114960fe1ff141b565268c876edbddd3824f6fee052d54049",
     "coxeter D4 export --format dot": "f27d31ef01c4d9876af92d7ce8d351181521968ee6496a5c623ac4bd70ab6b55",
+    "coxeter B5 export": "8b0934257a4f4958292f931ff26a8d8ccdd4bd8116f0189e2f64032b404382bb",
+    "coxeter D5 export": "6c5962b4ee25e8ed32b0c372120b41607e4f3fb3bd9fd4107176d05d4398562c",
+    "coxeter A5 export --format dot": "1c011ea6b1252efe27a4ed9258b66625ef42a16ede932993ab6880a2258ae236",
+    "coxeter I2:7 export": "bfab04df73ad73d750373d9f738be7cd90479912147cf3e3465c1620a281d27c",
     "coxeter I2:8 twisted flip": "ed6e7cfc7611ef9587b16c0b14b767f68cd17042a25aabe4a4c116fcb771ba04",
     "coxeter A3 twisted s1:s3,s3:s1": "0dd66350187a068991ff6ac77051c54d1fac5a528a22fef8b1511527954a0b9a",
     "coxeter D4 fix-check s1:s2,s2:s4,s4:s1 --against I2:6": "a5e8d2668b6cc66987db5e50a9ed0d944711dd39e9c0fe13a0401378ddf54658",

@@ -402,6 +402,18 @@ class TestCoxeterCommand:
     def test_invalid_type(self, files):
         assert main(["coxeter", "Q9", "export"]) == 2
 
+    def test_dihedral_spec_forms(self, files, capsys):
+        """I2:m and I2(m) name the same group; unbalanced brackets are
+        malformed input."""
+        tmp, _ = files
+        for spec in ("I2:6)", "I2(6"):
+            assert main(["coxeter", spec, "zircon-check"]) == 2
+            assert "cannot parse type spec" in capsys.readouterr().err
+        for spec in ("I2:6", "I2(6)"):
+            out = tmp / "z.json"
+            assert main(["coxeter", spec, "zircon-check", "--output", str(out)]) == 0
+            assert json.loads(out.read_text())["type"] == "I2:6"
+
     def test_invalid_theta(self, files, capsys):
         assert main(["coxeter", "B3", "twisted", "flip"]) == 2
         assert "flip exists for B only at B2" in capsys.readouterr().err
