@@ -74,7 +74,7 @@ def _iso_classes(n: int) -> Iterator[Poset]:
     buckets: dict[tuple, list[Poset]] = {}
     for below in _natural_strict_orders(n):
         P = _poset_from_masks(below)
-        key = tuple(sorted(_signatures(P)))  # an isomorphism invariant
+        key = _signatures(P)[1]  # an isomorphism invariant
         reps = buckets.setdefault(key, [])
         if any(_iso_search(rep, P, find_all=False) for rep in reps):
             continue

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .matchings import MatchingError, _failing_covers, is_special
-from .posets import Poset, PosetMap, _bits, _induced, build_poset, principal_ideal
+from .posets import Poset, PosetMap, _bits, _from_covers, _induced, principal_ideal
 
 __all__ = [
     "CoxeterError",
@@ -264,7 +264,8 @@ class CoxeterSystem:
 
         With s the last letter of w's word, the lower covers of w are ws
         and every vs with v a lower cover of ws and vs above v: the lifting
-        property (Bjorner-Brenti, GTM 231, Prop. 2.2.7).
+        property (Bjorner-Brenti, GTM 231, Prop. 2.2.7). The index pairs go
+        straight to the covers-mode validation of ``build_poset``.
         """
         if self._bruhat is None:
             lower: list[list[int]] = [[]]  # the lower covers of each element
@@ -272,9 +273,9 @@ class CoxeterSystem:
                 images = self._right[el.word[-1] - 1]
                 u = images[i]
                 lower.append([u] + [images[v] for v in lower[u] if not self._lowers(images, v)])
-            labels = [el.label for el in self.elements]
-            covers = [(labels[v], w) for w, vs in zip(labels, lower) for v in vs]
-            self._bruhat = build_poset(labels, covers, mode="covers")
+            labels = tuple(el.label for el in self.elements)
+            covers = [(v, w) for w, vs in enumerate(lower) for v in vs]
+            self._bruhat = _from_covers(labels, covers)
         return self._bruhat
 
 

@@ -10,10 +10,11 @@ label views ``covers``, ``minimal_elements`` and ``maximal_elements``
 are derived from the adjacency on each access. Arbitrary-precision ints
 cannot wrap, so the order is exact at every size. An instance's order
 never changes after construction; the only state it gains is the Mobius
-memo, which takes no lock: sweeps run in worker processes and send plain
-dict payloads, so no instance is shared between threads. Only finite
-posets are representable, hence local-finiteness hypotheses hold
-vacuously throughout.
+memo and the signatures of the isomorphism search (a ``PosetMap``: its
+fixed-point subposet), which take no lock: sweeps run in worker
+processes and send plain dict payloads, so no instance is shared between
+threads. Only finite posets are representable, hence local-finiteness
+hypotheses hold vacuously throughout.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ class Poset:
     covers mode; the subposet functions build from a parent's order.
     """
 
-    __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo", "_mobius_cols")
+    __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo", "_mobius_cols",
+                 "_sigs")
 
     def __init__(self, elements: Iterable, covers: Iterable, *, _relations: bool = False):
         ids = tuple(str(e) for e in elements)
@@ -142,7 +144,7 @@ class Poset:
         if len(index) != len(ids):
             dup = next(e for pos, e in enumerate(ids) if index[e] != pos)
             raise DuplicateElementError(f"duplicate element id {dup!r}")
-        pairs = set()
+        pairs = []
         for a, b in covers:
             a, b = str(a), str(b)
             if a not in index or b not in index:
@@ -151,10 +153,16 @@ class Poset:
                 if not _relations:
                     raise RedundantCoverError(f"element {a!r} cannot cover itself")
                 continue  # reflexive pairs are vacuous as relations
-            pairs.add((index[a], index[b]))
-        pairs = sorted(pairs)
+            pairs.append((index[a], index[b]))
+        self._close(ids, index, pairs, _relations)
+
+    def _close(self, ids: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[int, int]],
+               relations: bool) -> None:
+        """The constructor on index pairs: close the order they generate
+        and, in covers mode, reject the first pair implied by the others."""
+        pairs = sorted(set(pairs))
         below, reduced = _order(ids, pairs)
-        if not _relations and len(reduced) < len(pairs):
+        if not relations and len(reduced) < len(pairs):
             i, j = min(set(pairs).difference(reduced))
             raise RedundantCoverError(f"pair ({ids[i]!r}, {ids[j]!r}) is implied by other covers")
         self._store(ids, index, below, reduced)
@@ -177,6 +185,7 @@ class Poset:
         self._topo = tuple(sorted(range(n), key=lambda i: (below[i].bit_count(), i)))
         self._rank = self._compute_rank()
         self._mobius_cols: dict[int, dict[int, int]] = {}
+        self._sigs: Optional[tuple] = None  # filled by _signatures()
 
     def _compute_rank(self) -> Optional[tuple[int, ...]]:
         n = len(self.elements)
@@ -251,10 +260,11 @@ class PosetMap:
     element indices; ``image`` is the label dict derived from it. The
     constructor rejects anything that is not a bijection carrying the
     cover set onto itself; on a finite poset that is the same as
-    preserving the order in both directions.
+    preserving the order in both directions. ``_fixed`` holds the
+    fixed-point subposet once it is first asked for.
     """
 
-    __slots__ = ("source", "_perm")
+    __slots__ = ("source", "_perm", "_fixed")
 
     def __init__(self, source: Poset, image: Mapping):
         self.source = source
@@ -273,6 +283,7 @@ class PosetMap:
         if any(perm[j] not in up[perm[i]] for i in range(len(perm)) for j in up[i]):
             raise NotAutomorphismError("map does not preserve the order both ways")
         self._perm = tuple(perm)
+        self._fixed: Optional[Poset] = None
 
     @property
     def image(self) -> dict[str, str]:
@@ -362,10 +373,17 @@ def _poset(ids: tuple[str, ...], below: list[int], pairs: Sequence[tuple[int, in
     return P
 
 
+def _from_covers(ids: tuple[str, ...], pairs: Iterable[tuple[int, int]]) -> Poset:
+    """``build_poset`` in covers mode on distinct ids and index pairs."""
+    P = Poset.__new__(Poset)
+    P._close(ids, {e: pos for pos, e in enumerate(ids)}, pairs, relations=False)
+    return P
+
+
 def _map(P: Poset, perm: Sequence[int]) -> PosetMap:
     """An automorphism from its index permutation, trusted as given."""
     f = PosetMap.__new__(PosetMap)
-    f.source, f._perm = P, tuple(perm)
+    f.source, f._perm, f._fixed = P, tuple(perm), None
     return f
 
 
@@ -453,73 +471,97 @@ def is_bounded(P: Poset) -> bool:
     return sum(not down for down in P._down) == 1 and sum(not up for up in P._up) == 1
 
 
-def _signatures(P: Poset) -> list[tuple[int, int, int, int, int]]:
-    n = len(P)
-    rank = P._rank if P._rank is not None else tuple([-1] * n)
-    above = [0] * n  # strict upsets, by the closure's dual over the covers
-    for i in reversed(P._topo):
-        for j in P._up[i]:
-            above[i] |= above[j] | 1 << j
-    return [
-        (len(P._down[i]), len(P._up[i]), rank[i], P._below[i].bit_count(), above[i].bit_count())
-        for i in range(n)
-    ]
+def _signatures(P: Poset) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...], list[int]]:
+    """Each element's signature (down-degree, up-degree, rank or -1,
+    |strict downset|, |strict upset|), the sorted tuple of them, an
+    isomorphism invariant of P, and the strict upset rows; computed once
+    per poset."""
+    if P._sigs is None:
+        n = len(P)
+        rank = P._rank if P._rank is not None else tuple([-1] * n)
+        above = [0] * n  # strict upsets, by the closure's dual over the covers
+        for i in reversed(P._topo):
+            for j in P._up[i]:
+                above[i] |= above[j] | 1 << j
+        sigs = [
+            (len(P._down[i]), len(P._up[i]), rank[i], P._below[i].bit_count(), above[i].bit_count())
+            for i in range(n)
+        ]
+        P._sigs = (sigs, tuple(sorted(sigs)), above)
+    return P._sigs
 
 
 def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
-    """Cover-preserving bijections P -> Q by backtracking.
+    """Order isomorphisms P -> Q, as index tuples, in lexicographic order
+    of the images along ``order``; only the first unless ``find_all``.
 
-    Since both relations are closures of their covers, preserving covers
-    in both directions is the same as being an order isomorphism.
+    Each element of P keeps a bitset of the elements of Q it may still map
+    to, at first those of its signature. Elements are assigned rarest
+    signature first, values in ascending index. Choosing v -> w narrows
+    every unassigned x to Q's strict downset of w if x < v, to its strict
+    upset if x > v, and to the elements incomparable to w, w removed,
+    otherwise; the search backs up as soon as a set is empty. Every pair
+    is then related alike in P and Q, so each leaf is an isomorphism.
+    The search runs on an explicit stack and undoes the narrowing from a
+    trail, so its depth is not bounded by the recursion limit.
     """
     n = len(P)
-    if n != len(Q) or sum(map(len, P._up)) != sum(map(len, Q._up)):
+    if n != len(Q):
         return []
-    if (P._rank is None) != (Q._rank is None):
+    sig_p, key_p, above_p = _signatures(P)
+    sig_q, key_q, above_q = _signatures(Q)
+    if key_p != key_q:  # this also compares the cover counts and rankedness
         return []
-    sig_p = _signatures(P)
-    sig_q = _signatures(Q)
-    if sorted(sig_p) != sorted(sig_q):
-        return []
-    candidates: dict[tuple, list[int]] = {}
+    if not n:
+        return [()]
+    candidates: dict[tuple, int] = {}
     for j, s in enumerate(sig_q):
-        candidates.setdefault(s, []).append(j)
+        candidates[s] = candidates.get(s, 0) | 1 << j
     # rarest signatures first, ties broken by id position
-    order = sorted(range(n), key=lambda i: (len(candidates[sig_p[i]]), sig_p[i], i))
-    # bit v of up_p[u] is set iff u is covered by v
-    up_p = [sum(1 << v for v in vs) for vs in P._up]
-    up_q = [sum(1 << w for w in ws) for ws in Q._up]
-
-    found: list[tuple[int, ...]] = []
+    order = sorted(range(n), key=lambda i: (candidates[sig_p[i]].bit_count(), sig_p[i], i))
+    below_p, below_q = P._below, Q._below
+    full = (1 << n) - 1
+    domain = [candidates[sig_p[v]] for v in order]  # by position in order
+    trail: list[tuple[int, int]] = []  # (position, domain before narrowing)
+    mark = [0] * n  # trail length when each position was reached
+    left = [0] * n  # values each position has still to try
+    left[0] = domain[0]
     mapping = [-1] * n
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
+    found: list[tuple[int, ...]] = []
+    pos = 0
+    while pos >= 0:
+        while len(trail) > mark[pos]:  # undo the last value tried here
+            k, d = trail.pop()
+            domain[k] = d
+        rest = left[pos]
+        if not rest:
+            pos -= 1
+            continue
+        low = rest & -rest
+        left[pos] = rest ^ low
+        v, w = order[pos], low.bit_length() - 1
+        mapping[v] = w
+        if pos == n - 1:
             found.append(tuple(mapping))
-            return not find_all
-        v = order[pos]
-        for w in candidates[sig_p[v]]:
-            if used[w]:
-                continue
-            ok = True
-            for u in order[:pos]:
-                mu = mapping[u]
-                if (up_p[u] >> v & 1 != up_q[mu] >> w & 1
-                        or up_p[v] >> u & 1 != up_q[w] >> mu & 1):
-                    ok = False
+            if not find_all:
+                return found
+            continue
+        down, up = below_q[w], above_q[w]
+        apart = full ^ (down | up | low)
+        lower, upper = below_p[v], above_p[v]
+        for k in range(pos + 1, n):
+            x = order[k]
+            d = domain[k]
+            narrowed = d & (down if lower >> x & 1 else up if upper >> x & 1 else apart)
+            if narrowed != d:
+                trail.append((k, d))
+                domain[k] = narrowed
+                if not narrowed:
                     break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(pos + 1):
-                return True
-            used[w] = False
-            mapping[v] = -1
-        return False
-
-    extend(0)
+        else:
+            pos += 1
+            mark[pos] = len(trail)
+            left[pos] = domain[pos]
     return found
 
 

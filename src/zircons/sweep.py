@@ -253,17 +253,15 @@ def sweep_case(payload: dict) -> list[dict]:
         skip_reason = "no special matching"
     elif mode == "random" and len(autos) == 1:
         skip_reason = "only the trivial automorphism"
-    # one fixed-point subposet per automorphism, for every check that reads it
-    fixed = [_fixed_subposet(P, phi) for phi in autos] if zircon or skip_reason is None else []
 
     if zircon:
         witness = _ideal_minimum_witness(P)
         records.append(_record(poset_id, "ideal_unique_minimum", witness is None, witness=witness))
         witness = _sphericity_witness(P)
         records.append(_record(poset_id, "mobius_sphericity", witness is None, witness=witness))
-        for a_idx, sub in enumerate(fixed):
-            records.append(_record(poset_id, "fixed_points_zircon", is_zircon(sub),
-                                   automorphism=a_idx))
+        for a_idx, phi in enumerate(autos):
+            verdict = is_zircon(_fixed_subposet(P, phi))
+            records.append(_record(poset_id, "fixed_points_zircon", verdict, automorphism=a_idx))
 
     if skip_reason is not None:
         records.append(_record(poset_id, "theorem_suite_skipped", True, info=skip_reason))
@@ -280,7 +278,7 @@ def sweep_case(payload: dict) -> list[dict]:
         for m_idx, partner in enumerate(specials):
             family = _matching_family(partner, phi)
             try:
-                m_phi = _fixed_point_matching(P, family, fixed[a_idx])
+                m_phi = _fixed_point_matching(P, family)
                 pairs = matching_pairs(m_phi)
                 records.append(_record(poset_id, "fixed_point_special", True,
                                        matching=m_idx, automorphism=a_idx,

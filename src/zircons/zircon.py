@@ -236,7 +236,12 @@ def fixed_point_subposet(P: Poset, phi) -> Poset:
 
 
 def _fixed_subposet(P: Poset, phi: PosetMap) -> Poset:
-    return _induced(P, [i for i, j in enumerate(phi._perm) if i == j])
+    """The fixed-point subposet of phi, an automorphism of P, built once
+    per map; P itself when phi is the identity."""
+    if phi._fixed is None:
+        fixed = [i for i, j in enumerate(phi._perm) if i == j]
+        phi._fixed = P if len(fixed) == len(P) else _induced(P, fixed)
+    return phi._fixed
 
 
 def _require_bounded(P: Poset) -> None:
@@ -244,10 +249,10 @@ def _require_bounded(P: Poset) -> None:
         raise BoundednessError("fixed-point construction requires a bounded poset")
 
 
-def _fixed_point_matching(P: Poset, family: MatchingFamily, fixed: Poset) -> dict[str, str]:
+def _fixed_point_matching(P: Poset, family: MatchingFamily) -> dict[str, str]:
     """Pair each fixed point with the opposite extremum of its component,
-    then check once that the pairing is special on ``fixed``, the
-    fixed-point subposet of the family's automorphism."""
+    then check once that the pairing is special on the fixed-point
+    subposet of the family's automorphism."""
     labels = P.elements
     result: dict[str, str] = {}
     for p, image in enumerate(family.automorphism._perm):
@@ -260,7 +265,7 @@ def _fixed_point_matching(P: Poset, family: MatchingFamily, fixed: Poset) -> dic
             )
         result[labels[p]] = labels[lo if p == hi else hi]
     try:
-        verdict = is_special(fixed, result)
+        verdict = is_special(_fixed_subposet(P, family.automorphism), result)
     except (MatchingError, UnknownElementError) as exc:
         raise ConstructionError("induced pairing is not a matching on the fixed points") from exc
     if not verdict:
@@ -281,7 +286,7 @@ def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
     """
     fm = _as_poset_map(P, phi)
     _require_bounded(P)
-    return _fixed_point_matching(P, matching_family(P, M, fm), _fixed_subposet(P, fm))
+    return _fixed_point_matching(P, matching_family(P, M, fm))
 
 
 def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
@@ -303,7 +308,7 @@ def _fixed_point_report(P: Poset, family: MatchingFamily) -> dict:
     }
     try:
         _require_bounded(P)
-        m_phi = _fixed_point_matching(P, family, _fixed_subposet(P, phi))
+        m_phi = _fixed_point_matching(P, family)
     except (BoundednessError, ConstructionError, ExtremaError) as exc:
         report["witness"] = str(exc)
         return report

@@ -1,0 +1,117 @@
+"""The automorphism and isomorphism search against its backtracking oracle.
+
+``automorphisms`` must find the oracle's maps and ``are_isomorphic`` its
+first witness, since the witness reaches reports and CLI output.
+"""
+
+import pytest
+
+from iso_oracle import backtrack_isomorphisms, signatures
+from zircons import (
+    RedundantCoverError,
+    are_isomorphic,
+    automorphisms,
+    build_coxeter,
+    build_poset,
+    enumerate_posets,
+    interval,
+    leq,
+)
+from zircons.corpus import _natural_strict_orders, _poset_from_masks
+from zircons.posets import _from_covers, _signatures
+
+
+def _perms(P):
+    return [f._perm for f in automorphisms(P)]
+
+
+def _bruhat_intervals(type_spec):
+    B = build_coxeter(type_spec).bruhat_poset()
+    return [interval(B, u, v) for u in B.elements for v in B.elements if u != v and leq(B, u, v)]
+
+
+class TestAgainstOracle:
+    def test_automorphisms_on_corpus_to_6(self):
+        classes = [P for n in range(1, 7) for P in enumerate_posets(n)]
+        assert len(classes) == 405
+        for P in classes:
+            assert _perms(P) == sorted(backtrack_isomorphisms(P, P))
+
+    # the counts of pairs u < v, from the subword property
+    @pytest.mark.parametrize("type_spec,count", [("A3", 189), ("B3", 799), ("I2:6", 61)])
+    def test_automorphisms_on_bruhat_intervals(self, type_spec, count):
+        intervals = _bruhat_intervals(type_spec)
+        assert len(intervals) == count
+        for I in intervals:
+            assert _perms(I) == sorted(backtrack_isomorphisms(I, I))
+
+    def test_witness_on_every_bucket_pair_of_n6(self):
+        """Every labeled poset on 6 elements whose index order is a linear
+        extension, against every earlier class of its signature bucket, as
+        the corpus deduplication pairs them."""
+        buckets: dict[tuple, list] = {}
+        pairs = hits = 0
+        for below in _natural_strict_orders(6):
+            P = _poset_from_masks(below)
+            reps = buckets.setdefault(tuple(sorted(signatures(P))), [])
+            new = True
+            for rep in reps:
+                first = backtrack_isomorphisms(rep, P, find_all=False)
+                witness = None
+                if first:
+                    witness = {rep.elements[i]: P.elements[j] for i, j in enumerate(first[0])}
+                    new = False
+                assert are_isomorphic(rep, P) == witness
+                pairs += 1
+                hits += witness is not None
+            if new:
+                reps.append(P)
+        assert sum(map(len, buckets.values())) == 318
+        assert pairs > hits > 0
+
+    def test_witness_across_relabelings_of_b3_intervals(self):
+        """A relabelled copy has other candidate sets, so the first witness
+        is not the identity."""
+        for I in _bruhat_intervals("B3")[::7]:
+            ids = I.elements[::-1]
+            Q = build_poset(ids, [(ids[-1 - I.index(a)], ids[-1 - I.index(b)]) for a, b in I.covers])
+            first = backtrack_isomorphisms(I, Q, find_all=False)[0]
+            assert are_isomorphic(I, Q) == {I.elements[i]: Q.elements[j] for i, j in enumerate(first)}
+
+
+class TestScale:
+    @pytest.mark.parametrize("type_spec,count", [("A4", 4), ("B4", 2), ("D4", 12)])
+    def test_waterhouse_counts(self, type_spec, count):
+        """|Aut| of a Bruhat order is twice the number of diagram
+        automorphisms (Waterhouse 1989): A4 2*2, B4 2*1, D4 2*6."""
+        B = build_coxeter(type_spec).bruhat_poset()
+        maps = automorphisms(B)
+        assert len(maps) == count
+        assert len({f._perm for f in maps}) == count and maps[0].is_identity()
+
+    def test_long_chain(self):
+        """The search keeps its own stack: a chain longer than the
+        recursion limit is rigid and isomorphic to a relabelled copy."""
+        n = 1100
+        chain = build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
+        maps = automorphisms(chain)
+        assert len(maps) == 1 and maps[0].is_identity()
+        ids = [f"c{n - i}" for i in range(n)]
+        copy = build_poset(ids[::-1], [(ids[i], ids[i + 1]) for i in range(n - 1)])
+        assert are_isomorphic(chain, copy) == {str(i): ids[i] for i in range(n)}
+
+
+class TestComputedOnce:
+    def test_signatures_are_kept_on_the_poset(self, hexagon):
+        first = _signatures(hexagon)
+        automorphisms(hexagon)
+        are_isomorphic(hexagon, hexagon)
+        assert _signatures(hexagon) is first
+        assert first[0] == signatures(hexagon) and first[1] == tuple(sorted(first[0]))
+
+
+class TestIndexCore:
+    def test_rejects_a_redundant_pair(self):
+        """The Bruhat order enters the covers-mode validation as index pairs."""
+        with pytest.raises(RedundantCoverError, match="'a', 'c'"):
+            _from_covers(("a", "b", "c"), [(1, 2), (0, 2), (0, 1)])

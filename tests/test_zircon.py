@@ -483,13 +483,26 @@ class TestChecksRunOnce:
         assert 3 in built  # the rotations are among the automorphisms
 
     def test_sweep_builds_one_fixed_subposet_per_automorphism(self, monkeypatch, cube):
-        built = _count_calls(monkeypatch, "zircon", "_fixed_subposet")
+        built = _count_calls(monkeypatch, "zircon", "_induced")
         payload = {"poset_id": "cube", "poset": poset_to_dict(cube),
                    "mode": "exhaustive", "cap": 100}
         cases = [r for r in sweep_case(payload) if r["check"] == "fixed_point_special"]
         assert len(cases) > len(automorphisms(cube)) > 1
-        # shared by the fixed_points_zircon check and every construction
-        assert built == [len(cube)] * len(automorphisms(cube))
+        # shared by the fixed_points_zircon check and every construction;
+        # the identity's fixed-point subposet is the cube itself
+        assert built == [len(cube)] * (len(automorphisms(cube)) - 1)
+
+    def test_fixed_subposet_is_built_once_per_map(self, monkeypatch, cube):
+        built = _count_calls(monkeypatch, "zircon", "_induced")
+        toggle_bit_0 = {str(m): str(m ^ 1) for m in range(8)}
+        maps = automorphisms(cube)
+        for phi in maps:
+            for _ in range(3):
+                fixed_point_matching(cube, toggle_bit_0, phi)
+            assert fixed_point_subposet(cube, phi) is fixed_point_subposet(cube, phi)
+        # the identity's fixed points are the cube itself
+        assert maps[0].is_identity() and fixed_point_subposet(cube, maps[0]) is cube
+        assert built == [len(cube)] * (len(maps) - 1)
 
     def test_sweep_case_checks_only_the_constructions(self, check_calls, cube):
         """The sweep does not check the matchings its own search found, on
