@@ -8,7 +8,8 @@ dies (the offending poset is serialized for reproduction).
 ``coxeter T zircon-check`` checks the descent matching of every (w, s, side)
 in one pass over the whole Bruhat order per generator and side, and takes its
 zircon verdict from them; only the ideal of an element none of whose descent
-matchings passed is built and searched.
+matchings passed is searched for a special matching, in place as a bitmask
+of the Bruhat order (no ideal poset is built).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .matchings import (
     _failing_covers,
     _lifting,
     _partner,
-    has_special_matching,
     matching_from_dict,
     matching_pairs,
 )
@@ -51,7 +51,6 @@ from .posets import (
     poset_from_dict,
     poset_to_dict,
     poset_to_dot,
-    principal_ideal,
 )
 from .sweep import ManifestError, WorkerPanic, _sphericity_witness, run_sweep
 from .zircon import (
@@ -60,6 +59,7 @@ from .zircon import (
     ExtremaError,
     _fixed_point_report,
     _matching_family,
+    _zircon_at,
     is_zircon,
 )
 
@@ -166,7 +166,7 @@ def _coxeter_zircon_check(W, args) -> int:
     witnesses = []
     count = 0
     zircon = True
-    for el in W.elements:
+    for i, el in enumerate(W.elements):  # i is also el's index in B
         if el.length == 0:  # e, the only minimal element of B
             continue
         special = False
@@ -178,7 +178,7 @@ def _coxeter_zircon_check(W, args) -> int:
                     special = True
                 except CoxeterError as exc:
                     witnesses.append([el.label, s, side, str(exc)])
-        zircon = zircon and (special or has_special_matching(principal_ideal(B, el.label)))
+        zircon = zircon and (special or _zircon_at(B, i))
     report = {
         "type": W.type_spec,
         "cardinality": len(W),

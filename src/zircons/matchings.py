@@ -99,25 +99,31 @@ def is_special(P: Poset, M: Mapping) -> Verdict:
     return Verdict(True)
 
 
-def _special_partners(P: Poset, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Depth-first enumeration of all special matchings, in index form.
+def _special_partners(P: Poset, members: int, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Depth-first enumeration of all special matchings of the subposet on
+    ``members``, a convex bitmask of P (all of P, a principal ideal or an
+    interval), in index form; elements outside it keep partner -1.
 
-    The smallest unmatched element (in element order) is paired with each
+    The smallest unmatched member (in element order) is paired with each
     of its Hasse neighbors in turn; a branch is abandoned as soon as a
-    fully decided cover violates the special condition. Finding more than
-    ``limit`` matchings raises SearchLimitError.
+    fully decided cover violates the special condition. A convex set
+    keeps P's covers among its members, and its own element order is P's,
+    so the matchings and their order are those of the built subposet.
+    Finding more than ``limit`` matchings raises SearchLimitError.
     """
-    n = len(P)
-    if n % 2 == 1:
+    if members.bit_count() % 2 == 1:
         return
-    below = P._below
-    neighbors = [sorted(P._down[i] + P._up[i]) for i in range(n)]
-    touching: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
+    idxs, below = _bits(members), P._below
+    m = len(idxs)
+    touching: dict[int, list[tuple[int, int]]] = {i: [] for i in idxs}
+    for i in idxs:
         for j in P._up[i]:
-            touching[i].append((i, j))
-            touching[j].append((i, j))
-    partner = [-1] * n
+            if members >> j & 1:
+                touching[i].append((i, j))
+                touching[j].append((i, j))
+    # a member's Hasse neighbors are the other ends of its covers, ascending
+    neighbors = {k: sorted([p + q - k for p, q in covers]) for k, covers in touching.items()}
+    partner = [-1] * len(P)
 
     def decided_ok(k: int) -> bool:
         for p, q in touching[k]:
@@ -131,20 +137,20 @@ def _special_partners(P: Poset, limit: Optional[int] = None) -> Iterator[tuple[i
                 return False
         return True
 
-    def extend(lo: int) -> Iterator[tuple[int, ...]]:
-        i = lo
-        while i < n and partner[i] != -1:
-            i += 1
-        if i == n:
+    def extend(pos: int) -> Iterator[tuple[int, ...]]:
+        while pos < m and partner[idxs[pos]] != -1:
+            pos += 1
+        if pos == m:
             yield tuple(partner)
             return
+        i = idxs[pos]
         for j in neighbors[i]:
             if partner[j] != -1:
                 continue
             partner[i] = j
             partner[j] = i
             if decided_ok(i) and decided_ok(j):
-                yield from extend(i + 1)
+                yield from extend(pos + 1)
             partner[i] = -1
             partner[j] = -1
 
@@ -159,11 +165,11 @@ def enumerate_special_matchings(P: Poset, limit: int = DEFAULT_MATCHING_LIMIT) -
 
     Raises SearchLimitError when more than ``limit`` matchings exist.
     """
-    return [_labels(P, partner) for partner in _special_partners(P, limit)]
+    return [_labels(P, partner) for partner in _special_partners(P, (1 << len(P)) - 1, limit)]
 
 
 def has_special_matching(P: Poset) -> bool:
-    return next(_special_partners(P), None) is not None
+    return next(_special_partners(P, (1 << len(P)) - 1), None) is not None
 
 
 def _lifting(P: Poset, partner: Sequence[int]) -> Verdict:

@@ -237,7 +237,7 @@ def sweep_case(payload: dict) -> list[dict]:
 
     autos = automorphisms(P)
     try:
-        specials = list(_special_partners(P, cap))
+        specials = list(_special_partners(P, (1 << len(P)) - 1, cap))
         truncated = False
     except SearchLimitError as exc:
         specials = []
@@ -260,7 +260,8 @@ def sweep_case(payload: dict) -> list[dict]:
         witness = _sphericity_witness(P)
         records.append(_record(poset_id, "mobius_sphericity", witness is None, witness=witness))
         for a_idx, phi in enumerate(autos):
-            verdict = is_zircon(_fixed_subposet(P, phi))
+            fixed = _fixed_subposet(P, phi)  # P itself for the identity, a zircon here
+            verdict = fixed is P or is_zircon(fixed)
             records.append(_record(poset_id, "fixed_points_zircon", verdict, automorphism=a_idx))
 
     if skip_reason is not None:

@@ -17,6 +17,8 @@ are not re-checked at run time; the test suite checks them exhaustively
 on small posets. A result that fails its one check raises
 ``ConstructionError`` loudly. Inside, matchings are ``partner`` tuples
 of ``matchings`` and components are bitmasks over element indices.
+``is_zircon`` searches each principal ideal in place, as the bitmask of
+its members, and builds no ideal poset.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .matchings import (
     MatchingError,
     _failing_covers,
     _partner,
+    _special_partners,
     is_special,
-    has_special_matching,
     matching_pairs,
 )
 from .posets import (
@@ -38,7 +40,6 @@ from .posets import (
     NotAutomorphismError,
     UnknownElementError,
     _bits,
-    _convex_subposet,
     _induced,
     is_bounded,
 )
@@ -92,12 +93,17 @@ class MatchingFamily:
     component_of: tuple[int, ...]
 
 
+def _zircon_at(P: Poset, i: int) -> bool:
+    """The zircon condition at element i: the principal ideal of i, searched
+    in place as a bitmask of P, has a special matching."""
+    return next(_special_partners(P, P._below[i] | 1 << i), None) is not None
+
+
 def is_zircon(P: Poset) -> bool:
     """Every principal ideal below a non-minimal element has a special
     matching. Finiteness is automatic in this representation; an element
     is non-minimal iff its downset row is non-zero."""
-    return all(has_special_matching(_convex_subposet(P, _bits(row | 1 << i)))
-               for i, row in enumerate(P._below) if row)
+    return all(_zircon_at(P, i) for i, row in enumerate(P._below) if row)
 
 
 def is_zircon_ranked(P: Poset) -> bool:

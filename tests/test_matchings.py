@@ -9,15 +9,22 @@ from zircons import (
     descent_matching,
     enumerate_matchings,
     enumerate_special_matchings,
+    fixed_point_subposet,
     has_special_matching,
+    interval,
     is_matching,
     is_special,
+    is_zircon,
     matching_from_dict,
     matching_pairs,
     matching_to_dict,
+    principal_ideal,
+    theta_from_spec,
+    twisted_map,
     verify_lifting,
 )
-from zircons.posets import automorphisms
+from zircons.matchings import _special_partners
+from zircons.posets import _bits, automorphisms
 
 
 def pairs_set(matchings):
@@ -124,6 +131,64 @@ class TestEnumeration:
 
     def test_deterministic_order(self, diamond):
         assert enumerate_special_matchings(diamond) == enumerate_special_matchings(diamond)
+
+
+@pytest.fixture(scope="module")
+def in_place_posets(corpus_to_5, cube):
+    """Every class up to n = 5, the cube, the Bruhat orders of A3, B3 and
+    I2(6) with their elements listed top down (so that an element's lower
+    neighbors follow it in element order), and the twisted involutions of
+    B3 under the identity."""
+    posets = [*corpus_to_5, cube]
+    for spec in ("A3", "B3", "I2:6"):
+        B = build_coxeter(spec).bruhat_poset()
+        posets.append(build_poset(B.elements[::-1], B.covers))
+    W = build_coxeter("B3")
+    posets.append(fixed_point_subposet(W.bruhat_poset(), twisted_map(W, theta_from_spec(W, "id"))))
+    return posets
+
+
+def _lifted(Q, idxs, n):
+    """The special matchings of Q in index form, each mapped to the parent
+    indices ``idxs`` of Q's elements and padded with -1 to length n."""
+    out = []
+    for partner in _special_partners(Q, (1 << len(Q)) - 1):
+        row = [-1] * n
+        for a, b in enumerate(partner):
+            row[idxs[a]] = idxs[b]
+        out.append(tuple(row))
+    return out
+
+
+def test_in_place_search_equals_the_built_subposet(in_place_posets):
+    """The search on the bitmask of a principal ideal or an interval of P
+    finds the matchings of the built subposet, in P's indices and in the
+    same order."""
+    searched = found = 0
+    for P in in_place_posets:
+        below = P._below
+        for y in range(len(P)):
+            ideal = below[y] | 1 << y
+            cases = [(ideal, principal_ideal(P, P.elements[y]))]
+            for x in _bits(ideal):
+                members = sum(1 << k for k in _bits(ideal) if k == x or below[k] >> x & 1)
+                cases.append((members, interval(P, P.elements[x], P.elements[y])))
+            for members, Q in cases:
+                idxs = _bits(members)
+                assert Q.elements == tuple(P.elements[k] for k in idxs)
+                expected = _lifted(Q, idxs, len(P))
+                assert list(_special_partners(P, members)) == expected
+                searched += 1
+                found += len(expected)
+    assert searched == 2640 and found == 4245
+
+
+def test_is_zircon_equals_the_built_ideals(in_place_posets, n_poset):
+    for P in [*in_place_posets, n_poset]:
+        minimal = set(P.minimal_elements)
+        assert is_zircon(P) == all(has_special_matching(principal_ideal(P, x))
+                                   for x in P.elements if x not in minimal)
+    assert not is_zircon(n_poset)
 
 
 class TestLifting:

@@ -320,7 +320,7 @@ class TestCoxeterCommand:
         """An ideal none of whose descent matchings passed is searched for a
         special matching; the failures are reported as witnesses."""
         tmp, _ = files
-        real_descent, real_search = zircons.cli._check_descent, zircons.cli.has_special_matching
+        real_descent, real_search = zircons.cli._check_descent, zircons.cli._zircon_at
         searched = []
 
         def failing(W, el, s, side, passes):
@@ -328,12 +328,12 @@ class TestCoxeterCommand:
                 raise CoxeterError("injected failure")
             return real_descent(W, el, s, side, passes)
 
-        def search(ideal):
-            searched.append(len(ideal))
-            return real_search(ideal)
+        def search(B, i):  # the ideal of element i, searched in place in B
+            searched.append(B._below[i].bit_count() + 1)
+            return real_search(B, i)
 
         monkeypatch.setattr("zircons.cli._check_descent", failing)
-        monkeypatch.setattr("zircons.cli.has_special_matching", search)
+        monkeypatch.setattr("zircons.cli._zircon_at", search)
         rc = main(["coxeter", "A3", "zircon-check", "--output", str(tmp / "z.json")])
         obj = json.loads((tmp / "z.json").read_text())
         assert rc == 1

@@ -38,7 +38,7 @@ from zircons import (
     twisted_map,
 )
 from zircons.cli import main
-from zircons.posets import PosetMap, automorphisms
+from zircons.posets import Poset, PosetMap, automorphisms
 from zircons.sweep import sweep_case
 
 
@@ -558,12 +558,28 @@ class TestChecksRunOnce:
 
     def test_coxeter_zircon_check_builds_each_ideal_once(self, monkeypatch, tmp_path):
         ideals = _count_calls(monkeypatch, "posets", "principal_ideal")
-        searched = _count_calls(monkeypatch, "matchings", "has_special_matching")
+        searched = _count_calls(monkeypatch, "zircon", "_zircon_at")
         zircon = _count_calls(monkeypatch, "zircon", "is_zircon")
         rc = main(["coxeter", "B3", "zircon-check", "--output", str(tmp_path / "z.json")])
         assert rc == 0 and json.loads((tmp_path / "z.json").read_text())["zircon"]
         assert ideals == []  # every descent matching is checked on the whole of B3
         assert searched == [] and zircon == []
+
+    def test_is_zircon_builds_no_poset(self, monkeypatch):
+        """Each principal ideal is searched in place, as a bitmask of P."""
+        W = build_coxeter("B3")
+        B = W.bruhat_poset()
+        twisted = fixed_point_subposet(B, twisted_map(W, theta_from_spec(W, "id")))
+        stored = []
+        real_store = Poset._store
+
+        def counting(self, ids, *args):
+            stored.append(len(ids))
+            real_store(self, ids, *args)
+
+        monkeypatch.setattr(Poset, "_store", counting)
+        assert is_zircon(B) and is_zircon(twisted)
+        assert stored == []
 
     def test_definitions_agree_runs_is_zircon_once(self, monkeypatch, cube):
         calls = _count_calls(monkeypatch, "zircon", "is_zircon")
@@ -573,10 +589,12 @@ class TestChecksRunOnce:
     def test_sweep_case_runs_is_zircon_once(self, monkeypatch, cube, n_poset, zircon):
         P = cube if zircon else n_poset
         assert is_zircon(P) is zircon
-        subposets = [fixed_point_subposet(P, phi) for phi in automorphisms(P)] if zircon else []
+        subposets = [fixed_point_subposet(P, phi) for phi in automorphisms(P)
+                     if not phi.is_identity()] if zircon else []
         calls = _count_calls(monkeypatch, "zircon", "is_zircon")
         sweep_case({"poset_id": "p", "poset": poset_to_dict(P), "mode": "exhaustive", "cap": 100})
-        # once on P, then once on each fixed-point subposet of a zircon
+        # once on P, then once on the fixed-point subposet of each
+        # non-identity automorphism of a zircon: the identity's is P
         assert calls == [len(P), *map(len, subposets)]
 
 
