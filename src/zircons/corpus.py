@@ -3,7 +3,11 @@
 Everything here exists to falsify the clever implementations elsewhere:
 the matching enumerator is checked against unconstrained backtracking,
 the Mobius recursion against zeta-matrix inversion, and poset counts
-against the known unlabeled sequence 1, 2, 5, 16, 63, 318.
+against the known unlabeled sequence 1, 2, 5, 16, 63, 318, 2045 (OEIS
+A000112). The classes come from orderly generation: each labelled order
+is kept only if it is the least natural labelling of its class, a test
+made on every prefix as it grows, so no two posets are ever compared for
+isomorphism.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from .posets import (
     Poset,
     PosetError,
     _bits,
-    _iso_search,
     _order,
     _poset,
-    _signatures,
     build_poset,
     leq,
 )
@@ -36,12 +38,70 @@ __all__ = [
 MAX_EXHAUSTIVE_N = 7
 
 
-def _natural_strict_orders(n: int) -> Iterator[list[int]]:
-    """Strict-downset bitmasks of all posets on 0..n-1 for which the index
-    order is a linear extension.
+def _is_least(below: list[int], m: int) -> bool:
+    """Whether ``(below[1], ..., below[m-1])`` is the least such tuple over
+    all natural labellings of the poset on 0..m-1 that it describes.
+
+    A natural labelling is a linear extension. The search places one
+    placeable element per position, relabels its strict downset, and
+    compares the mask with ``below`` at that position: smaller decides,
+    larger prunes, equal goes on. Two placeable elements with the same
+    strict downset and the same strict upset are exchanged by an
+    automorphism that fixes everything else, so only one of them is tried.
+    """
+    down = [_bits(below[y]) for y in range(m)]
+    above = [0] * m
+    for y in range(1, m):
+        for x in down[y]:
+            above[x] |= 1 << y
+    label = [0] * m  # 1 << new position, for each placed element
+
+    def search(p: int, placed: int) -> bool:
+        if p == m:
+            return True
+        target = below[p]
+        tried = set()
+        for x in range(m):
+            if placed >> x & 1 or below[x] & ~placed:
+                continue
+            twin = (below[x], above[x])
+            if twin in tried:
+                continue
+            tried.add(twin)
+            mask = 0
+            for y in down[x]:
+                mask |= label[y]
+            if mask < target:
+                return False
+            if mask == target:
+                label[x] = 1 << p
+                if not search(p + 1, placed | 1 << x):
+                    return False
+        return True
+
+    return search(0, 0)
+
+
+def _least_strict_orders(n: int) -> Iterator[list[int]]:
+    """The least strict-downset tuple of each poset class on n elements,
+    in lexicographic order: orderly generation (Read 1978; Brinkmann and
+    McKay 2002).
 
     Element j may take any order ideal of the poset on 0..j-1 as its
-    strict downset; that choice is exactly what transitivity allows.
+    strict downset; that choice is exactly what transitivity allows, and
+    masks are tried in ascending order, so tuples come in lexicographic
+    order. Two facts prune the tree:
+
+    - A prefix of a least tuple is least. The first j+1 positions of a
+      natural labelling form an order ideal; relabelling that ideal keeps
+      a natural labelling of the whole poset, and the comparison of
+      tuples is decided on the prefix first. So a branch whose prefix
+      fails ``_is_least`` holds no least tuple.
+    - A least tuple is non-decreasing. If positions j-1 and j are
+      incomparable, swapping them keeps a natural labelling and puts
+      ``below[j]`` at position j-1; if they are comparable, ``below[j]``
+      has bit j-1 set and so exceeds ``below[j-1]``. So the masks for j
+      start at ``below[j-1]``.
     """
     below = [0] * n
 
@@ -49,11 +109,11 @@ def _natural_strict_orders(n: int) -> Iterator[list[int]]:
         if j == n:
             yield below[:]
             return
-        for mask in range(1 << j):
+        for mask in range(below[j - 1], 1 << j):
             if not any(below[i] & ~mask for i in _bits(mask)):
                 below[j] = mask
-                yield from extend(j + 1)
-        below[j] = 0
+                if _is_least(below, j + 1):
+                    yield from extend(j + 1)
 
     if n == 0:
         yield []
@@ -70,34 +130,26 @@ def _poset_from_masks(below: list[int]) -> Poset:
     return _poset(ids, *_order(ids, pairs))
 
 
-def _iso_classes(n: int) -> Iterator[Poset]:
-    buckets: dict[tuple, list[Poset]] = {}
-    for below in _natural_strict_orders(n):
-        P = _poset_from_masks(below)
-        key = _signatures(P)[1]  # an isomorphism invariant
-        reps = buckets.setdefault(key, [])
-        if any(_iso_search(rep, P, find_all=False) for rep in reps):
-            continue
-        reps.append(P)
-        yield P
-
-
 def enumerate_posets(n: int, canonical: bool = True) -> Iterator[Poset]:
     """All posets on n elements labeled "0".."n-1".
 
     With ``canonical=True`` one representative per isomorphism class is
-    produced; otherwise every labeled poset appears exactly once (each
-    class expanded through all distinct relabelings).
+    produced: its least natural labelling, the one whose strict downsets
+    (as index bitmasks of elements 1..n-1) form the lexicographically
+    least tuple, with the classes in the order of that tuple. Otherwise
+    every labeled poset appears exactly once (each class expanded through
+    all distinct relabelings).
     """
     if n < 0:
         raise PosetError("n must be nonnegative")
     if n > MAX_EXHAUSTIVE_N:
         raise PosetError(f"exhaustive enumeration capped at n <= {MAX_EXHAUSTIVE_N}")
+    classes = map(_poset_from_masks, _least_strict_orders(n))
     if canonical:
-        yield from _iso_classes(n)
+        yield from classes
         return
     ids = tuple(map(str, range(n)))
-    for rep in _iso_classes(n):
+    for rep in classes:
         cover_idx = [(i, j) for i, ups in enumerate(rep._up) for j in ups]
         seen: set[frozenset] = set()
         for perm in permutations(range(n)):

@@ -1,13 +1,24 @@
-"""Oracle for the automorphism and isomorphism search of ``zircons.posets``.
+"""Oracles for the automorphism and isomorphism search of ``zircons.posets``
+and for the orderly generation of ``zircons.corpus``.
 
 ``backtrack_isomorphisms`` is the plain backtracker that the library used
 before its search narrowed the candidates after each choice: one fixed
 signature class per element, each choice checked against the covers of
 every element assigned before it. It visits the same variables and values
 in the same order, so its first isomorphism is the library's witness.
+
+``iso_classes`` is the corpus deduplication that the library used before
+its orderly generation: every naturally labelled order, bucketed by the
+sorted signatures, kept unless ``_iso_search`` maps an earlier class of
+its bucket onto it. ``least_tuple`` is the canonical form by brute force
+over all orderings, and ``is_least_without_twins`` the canonicity search
+without its twin pruning.
 """
 
-from zircons.posets import Poset
+from itertools import permutations
+
+from zircons.corpus import _poset_from_masks
+from zircons.posets import Poset, _bits, _iso_search, _signatures
 
 
 def signatures(P: Poset) -> list[tuple[int, int, int, int, int]]:
@@ -81,3 +92,80 @@ def backtrack_isomorphisms(P: Poset, Q: Poset, find_all: bool = True) -> list[tu
 
     extend(0)
     return found
+
+
+def natural_strict_orders(n: int):
+    """Strict-downset bitmasks of all posets on 0..n-1 for which the index
+    order is a linear extension, in lexicographic order, unpruned.
+
+    Element j may take any order ideal of the poset on 0..j-1 as its
+    strict downset; that choice is exactly what transitivity allows.
+    """
+    below = [0] * n
+
+    def extend(j: int):
+        if j == n:
+            yield below[:]
+            return
+        for mask in range(1 << j):
+            if not any(below[i] & ~mask for i in _bits(mask)):
+                below[j] = mask
+                yield from extend(j + 1)
+        below[j] = 0
+
+    if n == 0:
+        yield []
+        return
+    yield from extend(1)
+
+
+def iso_classes(n: int):
+    """The first labelled poset of each class, in the order of
+    ``natural_strict_orders``, found by pairwise isomorphism tests."""
+    buckets: dict[tuple, list[Poset]] = {}
+    for below in natural_strict_orders(n):
+        P = _poset_from_masks(below)
+        reps = buckets.setdefault(_signatures(P)[1], [])
+        if any(_iso_search(rep, P, find_all=False) for rep in reps):
+            continue
+        reps.append(P)
+        yield P
+
+
+def least_tuple(below: list[int]) -> tuple[int, ...]:
+    """Least ``(below'[1], ..., below'[n-1])`` over every ordering of the
+    elements that is a linear extension, by trying all n! orderings."""
+    n = len(below)
+    best = None
+    for order in permutations(range(n)):
+        pos = [0] * n
+        for p, x in enumerate(order):
+            pos[x] = p
+        if any(pos[y] > pos[x] for x in range(n) for y in _bits(below[x])):
+            continue
+        key = tuple(sum(1 << pos[y] for y in _bits(below[x])) for x in order[1:])
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def is_least_without_twins(below: list[int], m: int) -> bool:
+    """``zircons.corpus._is_least`` with every placeable element tried."""
+    label = [0] * m
+
+    def search(p: int, placed: int) -> bool:
+        if p == m:
+            return True
+        for x in range(m):
+            if placed >> x & 1 or below[x] & ~placed:
+                continue
+            mask = sum(label[y] for y in _bits(below[x]))
+            if mask < below[p]:
+                return False
+            if mask == below[p]:
+                label[x] = 1 << p
+                if not search(p + 1, placed | 1 << x):
+                    return False
+        return True
+
+    return search(0, 0)

@@ -1,5 +1,6 @@
 import pytest
 
+from iso_oracle import is_least_without_twins, iso_classes, least_tuple, natural_strict_orders
 from zircons import (
     PosetError,
     are_isomorphic,
@@ -13,15 +14,16 @@ from zircons import (
     poset_to_dict,
     random_poset,
 )
+from zircons.corpus import _is_least
 from zircons.sweep import _iter_payloads
 
-# counts of posets by isomorphism class and by labeling, n = 1..
-CLASS_COUNTS = [1, 2, 5, 16, 63, 318]
+# counts of posets by isomorphism class (OEIS A000112) and by labeling, n = 1..
+CLASS_COUNTS = [1, 2, 5, 16, 63, 318, 2045]
 LABELED_COUNTS = [1, 3, 19, 219, 4231]
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", list(enumerate(CLASS_COUNTS[:5], start=1)))
+    @pytest.mark.parametrize("n,count", list(enumerate(CLASS_COUNTS, start=1)))
     def test_class_counts(self, n, count):
         assert sum(1 for _ in enumerate_posets(n)) == count
 
@@ -48,6 +50,38 @@ class TestEnumeration:
         payloads = _iter_payloads({"mode": "exhaustive", "max_n": 4}, cap_matchings=1)
         ids = [payload["poset_id"] for payload in payloads]
         assert len(ids) == len(set(ids)) == 24
+
+
+class TestOrderlyGeneration:
+    @pytest.mark.parametrize("n", range(7))
+    def test_same_classes_as_the_dedup_oracle(self, n):
+        """The same representatives in the same order as deduplication by
+        pairwise isomorphism tests over every natural labelling."""
+        got = list(enumerate_posets(n))
+        want = list(iso_classes(n))
+        assert got == want
+        assert [P._below for P in got] == [P._below for P in want]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_representatives_are_least_natural_labellings(self, n):
+        """Brute force over all n! orderings, independent of the pruning:
+        each representative is its class's least tuple, and every natural
+        labelling has its least tuple among them."""
+        reps = [tuple(P._below[1:]) for P in enumerate_posets(n)]
+        assert reps == sorted(set(reps))
+        assert all(least_tuple([0, *t]) == t for t in reps)
+        assert {least_tuple(below) for below in natural_strict_orders(n)} == set(reps)
+
+    def test_twin_pruning_changes_no_verdict(self):
+        """On every natural labelling with n <= 6, so on every prefix that
+        the generation of n <= 7 can test."""
+        verdicts = set()
+        for n in range(1, 7):
+            for below in natural_strict_orders(n):
+                verdict = _is_least(below, n)
+                assert verdict == is_least_without_twins(below, n), below
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestMatchingOracle:

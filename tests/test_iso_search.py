@@ -6,7 +6,7 @@ first witness, since the witness reaches reports and CLI output.
 
 import pytest
 
-from iso_oracle import backtrack_isomorphisms, signatures
+from iso_oracle import backtrack_isomorphisms, natural_strict_orders, signatures
 from zircons import (
     RedundantCoverError,
     are_isomorphic,
@@ -17,7 +17,7 @@ from zircons import (
     interval,
     leq,
 )
-from zircons.corpus import _natural_strict_orders, _poset_from_masks
+from zircons.corpus import _poset_from_masks
 from zircons.posets import _from_covers, _signatures
 
 
@@ -48,10 +48,10 @@ class TestAgainstOracle:
     def test_witness_on_every_bucket_pair_of_n6(self):
         """Every labeled poset on 6 elements whose index order is a linear
         extension, against every earlier class of its signature bucket, as
-        the corpus deduplication pairs them."""
+        the oracle's corpus deduplication pairs them."""
         buckets: dict[tuple, list] = {}
         pairs = hits = 0
-        for below in _natural_strict_orders(6):
+        for below in natural_strict_orders(6):
             P = _poset_from_masks(below)
             reps = buckets.setdefault(tuple(sorted(signatures(P))), [])
             new = True
