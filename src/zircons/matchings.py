@@ -106,58 +106,73 @@ def _special_partners(P: Poset, members: int, limit: Optional[int] = None) -> It
 
     The smallest unmatched member (in element order) is paired with each
     of its Hasse neighbors in turn; a branch is abandoned as soon as a
-    fully decided cover violates the special condition. A convex set
-    keeps P's covers among its members, and its own element order is P's,
-    so the matchings and their order are those of the built subposet.
-    Finding more than ``limit`` matchings raises SearchLimitError.
+    fully decided cover violates the special condition. The search keeps
+    its own stack, one frame per paired member with its untried
+    neighbors, so its depth is not bounded by the recursion limit. A
+    convex set keeps P's covers among its members, and its own element
+    order is P's, so the matchings and their order are those of the
+    built subposet. Finding more than ``limit`` matchings raises
+    SearchLimitError.
     """
     if members.bit_count() % 2 == 1:
         return
     idxs, below = _bits(members), P._below
     m = len(idxs)
-    touching: dict[int, list[tuple[int, int]]] = {i: [] for i in idxs}
-    for i in idxs:
-        for j in P._up[i]:
-            if members >> j & 1:
-                touching[i].append((i, j))
-                touching[j].append((i, j))
-    # a member's Hasse neighbors are the other ends of its covers, ascending
-    neighbors = {k: sorted([p + q - k for p, q in covers]) for k, covers in touching.items()}
+    if m == len(P):
+        ups, downs = P._up, P._down
+    else:  # the covers among the members, from each end
+        ups = {i: [j for j in P._up[i] if members >> j & 1] for i in idxs}
+        downs = {i: [j for j in P._down[i] if members >> j & 1] for i in idxs}
+    # a member's Hasse neighbors, ascending
+    neighbors = {i: sorted([*ups[i], *downs[i]]) for i in idxs}
     partner = [-1] * len(P)
 
     def decided_ok(k: int) -> bool:
-        for p, q in touching[k]:
-            mp = partner[p]
-            if mp == -1 or mp == q:
-                continue
+        """No decided cover at the newly paired k breaks the condition."""
+        mk = partner[k]
+        for q in ups[k]:  # k < q
             mq = partner[q]
-            if mq == -1:
-                continue
-            if not below[mq] >> mp & 1:
+            if mq != -1 and mk != q and not below[mq] >> mk & 1:
+                return False
+        for p in downs[k]:  # p < k
+            mp = partner[p]
+            if mp != -1 and mp != k and not below[mk] >> mp & 1:
                 return False
         return True
 
-    def extend(pos: int) -> Iterator[tuple[int, ...]]:
+    found = 0
+    stack: list[tuple[int, int, Iterator[int]]] = []  # (position, member, untried neighbors)
+    pos = 0
+    while True:
         while pos < m and partner[idxs[pos]] != -1:
             pos += 1
         if pos == m:
+            found += 1
+            if limit is not None and found > limit:
+                raise SearchLimitError(f"more than {limit} special matchings; raise the cap")
             yield tuple(partner)
-            return
-        i = idxs[pos]
-        for j in neighbors[i]:
-            if partner[j] != -1:
+        else:
+            i = idxs[pos]
+            stack.append((pos, i, iter(neighbors[i])))
+        while stack:  # the next pair of the deepest member that has one left
+            pos, i, untried = stack[-1]
+            j = partner[i]
+            if j != -1:  # undo its current pair
+                partner[i] = partner[j] = -1
+            for j in untried:
+                if partner[j] == -1:
+                    partner[i] = j
+                    partner[j] = i
+                    if decided_ok(i) and decided_ok(j):
+                        break
+                    partner[i] = partner[j] = -1
+            else:
+                stack.pop()
                 continue
-            partner[i] = j
-            partner[j] = i
-            if decided_ok(i) and decided_ok(j):
-                yield from extend(pos + 1)
-            partner[i] = -1
-            partner[j] = -1
-
-    for count, found in enumerate(extend(0), start=1):
-        if limit is not None and count > limit:
-            raise SearchLimitError(f"more than {limit} special matchings; raise the cap")
-        yield found
+            pos += 1
+            break
+        else:
+            return
 
 
 def enumerate_special_matchings(P: Poset, limit: int = DEFAULT_MATCHING_LIMIT) -> list[dict[str, str]]:

@@ -17,8 +17,10 @@ are not re-checked at run time; the test suite checks them exhaustively
 on small posets. A result that fails its one check raises
 ``ConstructionError`` loudly. Inside, matchings are ``partner`` tuples
 of ``matchings`` and components are bitmasks over element indices.
-``is_zircon`` searches each principal ideal in place, as the bitmask of
-its members, and builds no ideal poset.
+``is_zircon`` searches a principal ideal in place, as the bitmask of its
+members, and builds no ideal poset. It searches top down and reuses each
+special matching it finds on every smaller ideal that the matching maps
+onto itself, so a few searches decide the whole poset.
 """
 
 from __future__ import annotations
@@ -102,8 +104,43 @@ def _zircon_at(P: Poset, i: int) -> bool:
 def is_zircon(P: Poset) -> bool:
     """Every principal ideal below a non-minimal element has a special
     matching. Finiteness is automatic in this representation; an element
-    is non-minimal iff its downset row is non-zero."""
-    return all(_zircon_at(P, i) for i, row in enumerate(P._below) if row)
+    is non-minimal iff its downset row is non-zero.
+
+    First, an ideal with an odd number of elements has no perfect
+    matching, so the answer is False at once if one exists. Then the
+    ideals are walked largest first. Each one not yet decided is searched
+    for its first special matching M, and False is returned if it has
+    none. Every smaller ideal that M maps onto itself is then decided
+    too: it is a lower set, so it keeps the covers of the searched one,
+    and M restricted to it is a special matching there. That closure is
+    tested with bitmasks, as the image of each ideal under M, built up
+    over the lower covers. By the lifting property (Brenti, Caselli and
+    Marietti 2006) the closed ideals are exactly those of the v with
+    M(v) < v, but the verdict rests only on the test; an ideal that
+    fails it is searched later. The verdict is that of searching every
+    ideal on its own.
+    """
+    below, down = P._below, P._down
+    if any(row and not row.bit_count() & 1 for row in below):
+        return False
+    done = 0  # the elements whose ideal is known to have a special matching
+    for w in reversed(P._topo):
+        if not below[w] or done >> w & 1:
+            continue
+        ideal = below[w] | 1 << w
+        partner = next(_special_partners(P, ideal), None)
+        if partner is None:
+            return False
+        image: dict[int, int] = {}  # the image under M of the ideal of v
+        for v in P._topo:
+            if ideal >> v & 1:
+                mask = 1 << partner[v]
+                for u in down[v]:
+                    mask |= image[u]
+                image[v] = mask
+                if not mask & ~(below[v] | 1 << v):
+                    done |= 1 << v
+    return True
 
 
 def is_zircon_ranked(P: Poset) -> bool:
@@ -179,7 +216,11 @@ def _extrema(P: Poset, mask: int) -> tuple[int, int]:
     """Indices of the unique minimum and maximum of the subposet on the
     bitmask ``mask``; ExtremaError when either is not unique."""
     below = P._below
-    members = _bits(mask)
+    members, rest = [], mask
+    while rest:  # the set bits, lowest first: a component has few of P's
+        low = rest & -rest
+        members.append(low.bit_length() - 1)
+        rest ^= low
     under = 0  # everything strictly below some member
     for y in members:
         under |= below[y]
@@ -261,10 +302,14 @@ def _fixed_point_matching(P: Poset, family: MatchingFamily) -> dict[str, str]:
     subposet of the family's automorphism."""
     labels = P.elements
     result: dict[str, str] = {}
+    extrema: dict[int, tuple[int, int]] = {}  # by component index
     for p, image in enumerate(family.automorphism._perm):
         if image != p:
             continue
-        lo, hi = _extrema(P, family.components[family.component_of[p]])
+        c = family.component_of[p]
+        if c not in extrema:
+            extrema[c] = _extrema(P, family.components[c])
+        lo, hi = extrema[c]
         if p not in (lo, hi):
             raise ConstructionError(
                 f"fixed point {labels[p]!r} is neither the minimum nor the maximum of its component"

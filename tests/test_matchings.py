@@ -1,4 +1,5 @@
 import pytest
+from matching_oracle import recursive_special_partners
 
 from zircons import (
     MatchingError,
@@ -8,6 +9,7 @@ from zircons import (
     build_poset,
     descent_matching,
     enumerate_matchings,
+    enumerate_posets,
     enumerate_special_matchings,
     fixed_point_subposet,
     has_special_matching,
@@ -189,6 +191,60 @@ def test_is_zircon_equals_the_built_ideals(in_place_posets, n_poset):
         assert is_zircon(P) == all(has_special_matching(principal_ideal(P, x))
                                    for x in P.elements if x not in minimal)
     assert not is_zircon(n_poset)
+
+
+def _searched(search, P, members, limit=None):
+    """The matchings a search yields before it ends, and whether it ended
+    by raising SearchLimitError."""
+    found = []
+    try:
+        for partner in search(P, members, limit):
+            found.append(partner)
+    except SearchLimitError:
+        return found, True
+    return found, False
+
+
+class TestStackSearch:
+    """The search on its own stack yields the matchings of the recursive
+    search, in the same order, with the same ``limit`` behaviour."""
+
+    def test_equals_the_recursive_search(self, in_place_posets):
+        """On the whole poset and on every interval [x, y]."""
+        searched = found = 0
+        for P in [*in_place_posets, *enumerate_posets(6)]:
+            below = P._below
+            cases = [(1 << len(P)) - 1]
+            for y, row in enumerate(below):
+                for x in _bits(row | 1 << y):
+                    cases.append(sum(1 << k for k in _bits(row | 1 << y)
+                                     if k == x or below[k] >> x & 1))
+            for members in cases:
+                expected = list(recursive_special_partners(P, members))
+                assert list(_special_partners(P, members)) == expected
+                for limit in range(min(len(expected), 3) + 1):
+                    assert (_searched(_special_partners, P, members, limit)
+                            == _searched(recursive_special_partners, P, members, limit))
+                searched += 1
+                found += len(expected)
+        assert searched == 7022 and found == 5810
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        """A chain of 2100 elements has one special matching, 1050 pairs
+        deep: the recursive search cannot reach it."""
+        chain = build_poset(list(range(2100)), [(i, i + 1) for i in range(2099)])
+        found = enumerate_special_matchings(chain)
+        assert found == [{str(i): str(i ^ 1) for i in range(2100)}]
+        with pytest.raises(RecursionError):
+            next(recursive_special_partners(chain, (1 << 2100) - 1))
+
+    def test_a6_bruhat_order(self):
+        B = build_coxeter("A6").bruhat_poset()
+        assert len(B) == 5040 and has_special_matching(B)
+
+    def test_b5_is_a_zircon(self):
+        B = build_coxeter("B5").bruhat_poset()
+        assert len(B) == 3840 and is_zircon(B)
 
 
 class TestLifting:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from matching_oracle import per_ideal_is_zircon
 
 import zircons.matchings
 import zircons.zircon
@@ -17,6 +18,7 @@ from zircons import (
     build_coxeter,
     build_poset,
     component_extrema,
+    enumerate_posets,
     definitions_agree,
     descent_matching,
     enumerate_special_matchings,
@@ -24,6 +26,7 @@ from zircons import (
     fixed_point_report,
     fixed_point_subposet,
     greedy_descend,
+    has_special_matching,
     is_special,
     is_zircon,
     is_zircon_ranked,
@@ -34,6 +37,7 @@ from zircons import (
     matching_to_dict,
     orbit_component,
     poset_to_dict,
+    principal_ideal,
     theta_from_spec,
     twisted_map,
 )
@@ -596,6 +600,63 @@ class TestChecksRunOnce:
         # once on P, then once on the fixed-point subposet of each
         # non-identity automorphism of a zircon: the identity's is P
         assert calls == [len(P), *map(len, subposets)]
+
+
+def _twisted(spec, theta):
+    W = build_coxeter(spec)
+    return fixed_point_subposet(W.bruhat_poset(), twisted_map(W, theta_from_spec(W, theta)))
+
+
+class TestTopDownReuse:
+    """``is_zircon`` searches a few ideals and reuses each special matching
+    on the smaller ideals it maps onto itself; its verdict is that of the
+    per-ideal search."""
+
+    def test_every_class_to_7(self):
+        verdicts = [is_zircon(P) == per_ideal_is_zircon(P)
+                    for n in range(8) for P in enumerate_posets(n)]
+        assert len(verdicts) == 2451 and all(verdicts)
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "I2:6", "A4", "D4"])
+    def test_bruhat_orders_and_their_fixed_points(self, spec):
+        B = build_coxeter(spec).bruhat_poset()
+        assert is_zircon(B) and per_ideal_is_zircon(B)
+        maps = automorphisms(B)
+        assert len(maps) > 1
+        for phi in maps:
+            fixed = fixed_point_subposet(B, phi)
+            assert is_zircon(fixed) == per_ideal_is_zircon(fixed)
+
+    @pytest.mark.parametrize("spec,theta", [("A4", "id"), ("A4", "flip"), ("B4", "id"),
+                                            ("D4", "flip")])
+    def test_twisted_involutions(self, spec, theta):
+        T = _twisted(spec, theta)
+        assert is_zircon(T) and per_ideal_is_zircon(T)
+
+    def test_a_lower_ideal_without_a_special_matching(self):
+        """The whole poset, the ideal of its top 5, has a special matching,
+        but the ideal {0, 1, 2, 4} of 4 has none: its one perfect matching
+        pairs 0 with 2 and 1 with 4, and then the cover 2 < 4 fails. Every
+        ideal has an even number of elements, so only a search can tell."""
+        P = build_poset(list(range(6)), [(0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+        assert all(row.bit_count() % 2 for row in P._below if row)
+        assert has_special_matching(P)
+        assert not has_special_matching(principal_ideal(P, "4"))
+        assert not is_zircon(P) and not per_ideal_is_zircon(P)
+
+    def test_b4_takes_few_searches(self, monkeypatch):
+        B = build_coxeter("B4").bruhat_poset()
+        searched = _count_calls(monkeypatch, "zircon", "_special_partners")
+        assert is_zircon(B)
+        # one search per principal ideal would be 383
+        assert 0 < len(searched) <= 10
+
+    def test_odd_ideal_decides_before_any_search(self, monkeypatch):
+        """The ideal of element 2 of a chain has three elements: no search
+        runs, not even on the 2100-element ideal at the top."""
+        chain = build_poset(list(range(2100)), [(i, i + 1) for i in range(2099)])
+        searched = _count_calls(monkeypatch, "zircon", "_special_partners")
+        assert not is_zircon(chain) and searched == []
 
 
 _NO_EXTREMA = """
