@@ -5,11 +5,13 @@ checks pass, 1 when a verification fails (the report carries a witness),
 2 on malformed input or violated preconditions, 3 when a sweep worker
 dies (the offending poset is serialized for reproduction).
 
-``coxeter T zircon-check`` checks the descent matching of every (w, s, side)
-in one pass over the whole Bruhat order per generator and side, and takes its
-zircon verdict from them; only the ideal of an element none of whose descent
-matchings passed is searched for a special matching, in place as a bitmask
-of the Bruhat order (no ideal poset is built).
+``coxeter T zircon-check`` is a report over ``coxeter._descent_failures``,
+which checks the descent matching of every (w, s, side) in one pass over the
+whole Bruhat order per generator and side, with no ideal poset built. The
+failures are the witnesses, in the order (w, right before left, s). The
+order is a zircon if every element but e has a passing descent matching,
+which is then a special matching of its ideal; otherwise ``is_zircon``
+decides, once, on the whole Bruhat order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .coxeter import (
     CoxeterError,
-    _check_descent,
+    _descent_failures,
     build_coxeter,
     fix_subgroup_poset,
     theta_from_spec,
@@ -59,7 +61,6 @@ from .zircon import (
     ExtremaError,
     _fixed_point_report,
     _matching_family,
-    _zircon_at,
     is_zircon,
 )
 
@@ -161,31 +162,26 @@ def _coxeter_export(W, args) -> int:
 
 
 def _coxeter_zircon_check(W, args) -> int:
-    B = W.bruhat_poset()
-    passes: dict = {}
+    count = passed = 0
     witnesses = []
-    count = 0
-    zircon = True
-    for i, el in enumerate(W.elements):  # i is also el's index in B
-        if el.length == 0:  # e, the only minimal element of B
-            continue
-        special = False
-        for side, descents in (("right", W.right_descents(el)), ("left", W.left_descents(el))):
-            for s in descents:
-                count += 1
-                try:
-                    _check_descent(W, el, s, side, passes)
-                    special = True
-                except CoxeterError as exc:
-                    witnesses.append([el.label, s, side, str(exc)])
-        zircon = zircon and (special or _zircon_at(B, i))
+    for order, side in enumerate(("right", "left")):
+        for k, s in enumerate(W.generators):
+            descents, failures = _descent_failures(W, k, side)
+            count += descents.bit_count()
+            passed |= descents & ~sum(1 << w for w in failures)
+            witnesses += [(w, order, k, [W.elements[w].label, s, side, message])
+                          for w, message in failures.items()]
+    witnesses.sort()  # by (w, right before left, generator), each key once
+    # a passing descent matching is a special matching of its ideal; e is
+    # element 0 and the only minimal one
+    zircon = passed == (1 << len(W)) - 2 or is_zircon(W.bruhat_poset())
     report = {
         "type": W.type_spec,
         "cardinality": len(W),
         "zircon": zircon,
         "descent_matchings_checked": count,
         "all_descent_matchings_special": not witnesses,
-        "witnesses": witnesses,
+        "witnesses": [witness[3] for witness in witnesses],
     }
     _emit_json(report, args.output)
     return EXIT_OK if zircon and not witnesses else EXIT_VIOLATION
@@ -233,6 +229,11 @@ def _coxeter_fix_check(W, theta, args) -> int:
 
 
 def cmd_coxeter(args) -> int:
+    # a flag the action does not read is malformed input, not ignored
+    if args.against is not None and args.action != "fix-check":
+        raise InputError(f"{args.action} takes no --against, only fix-check does")
+    if args.format != "json" and args.action != "export":
+        raise InputError(f"{args.action} takes no --format {args.format}, only export does")
     # a CoxeterError is malformed input: main reports it and exits 2
     W = build_coxeter(args.type_spec)
     if args.action == "twisted":

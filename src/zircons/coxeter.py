@@ -329,61 +329,51 @@ def descent_matching(
     return mapping
 
 
-def _descent_pass(W: CoxeterSystem, s, side: str) -> tuple[list[int], int, int, list[tuple[int, int]]]:
-    """Multiplication by s on the whole Bruhat order, checked once.
+def _descent_failures(W: CoxeterSystem, k: int, side: str) -> tuple[int, dict[int, str]]:
+    """Every descent matching of generator k (0-based) on one side, checked
+    in one pass over the whole Bruhat order.
 
-    Returns the index map x -> xs (or sx), the mask of the elements it
-    lowers, the mask of the elements whose pair is not a Hasse edge of a
-    fixed-point-free involution, and the covers that fail the special
-    condition, in ``covers`` order.
+    Returns the mask of the elements w that the generator shortens and, for
+    each such w whose matching fails, the message of the ``CoxeterError``
+    that ``descent_matching`` raises on [e, w], for the same first
+    offender. The ideal [e, w] is the bitset ``below[w] | 1 << w``; it is
+    convex, so its covers are the Bruhat covers inside it, and each check
+    reads three masks and a list of failing covers made once per pass.
     """
     B = W.bruhat_poset()  # indexed like W.elements
-    perm = W._table(side)[W.gen_index(s) - 1]
-    below, up, down = B._below, B._up, B._down
-    lower = bad = 0
+    perm = W._table(side)[k]
+    below, up, down, labels = B._below, B._up, B._down, B.elements
+    length = [el.length for el in W.elements]
+    descents = lower = bad = 0  # shortened; mapped below in B; not a matched Hasse edge
     for x, y in enumerate(perm):
+        if length[y] < length[x]:
+            descents |= 1 << x
         if below[x] >> y & 1:
             lower |= 1 << x
         if perm[y] != x or (y not in up[x] and y not in down[x]):
             bad |= 1 << x
-    return perm, lower, bad, list(_failing_covers(B, perm))
-
-
-def _check_descent(W: CoxeterSystem, w: GroupElement, s, side: str, passes: dict) -> None:
-    """``descent_matching(W, w, s, side)`` without building the ideal.
-
-    Raises the same ``CoxeterError`` for the same first offender, or
-    returns None. The ideal [e, w] is the bitset ``below[w] | 1 << w``;
-    it is convex, so its covers are the Bruhat covers inside it, and each
-    check is read off the ``_descent_pass`` of (s, side), cached in
-    ``passes``.
-    """
-    if (s, side) not in passes:
-        passes[s, side] = _descent_pass(W, s, side)
-    perm, lower, bad, failing = passes[s, side]
-    B = W.bruhat_poset()
-    labels = B.elements
-    i = B._index[w.label]
-    if not W._lowers(perm, i):
-        raise CoxeterError(f"{s!r} is not a {side} descent of {w.label!r}")
-    ideal = B._below[i] | 1 << i
-    # An element that s lowers stays in the downset, so only the others
-    # can leave it. Where the pairs inside are a fixed-point-free
-    # involution, the lowered elements map one to one into the others;
-    # equal counts make that map onto them, and then nothing leaves.
-    if ideal & bad or 2 * (ideal & lower).bit_count() != ideal.bit_count():
-        for x in _bits(ideal & ~lower):
-            if not ideal >> perm[x] & 1:
-                raise CoxeterError(
-                    f"descent image {labels[perm[x]]!r} leaves the ideal of {w.label!r}; model bug"
-                )
-    if ideal & bad:
-        raise CoxeterError("descent map is not a matching; model bug")
-    for p, q in failing:
-        if ideal >> q & 1:
-            raise CoxeterError(
-                f"descent matching not special at {(labels[p], labels[q])}; model bug"
-            )
+    failing = list(_failing_covers(B, perm))
+    failures: dict[int, str] = {}
+    for w in _bits(descents):
+        ideal = below[w] | 1 << w
+        # An element that the generator lowers stays in the downset, so only
+        # the others can leave it. Where the pairs inside are a fixed-point-free
+        # involution, the lowered elements map one to one into the others;
+        # equal counts make that map onto them, and then nothing leaves.
+        if ideal & bad or 2 * (ideal & lower).bit_count() != ideal.bit_count():
+            leaving = [perm[x] for x in _bits(ideal & ~lower) if not ideal >> perm[x] & 1]
+            if leaving:
+                failures[w] = (f"descent image {labels[leaving[0]]!r} leaves the ideal"
+                               f" of {labels[w]!r}; model bug")
+                continue
+            if ideal & bad:
+                failures[w] = "descent map is not a matching; model bug"
+                continue
+        for p, q in failing:
+            if ideal >> q & 1:
+                failures[w] = f"descent matching not special at {(labels[p], labels[q])}; model bug"
+                break
+    return descents, failures
 
 
 class DiagramAutomorphism:

@@ -320,12 +320,18 @@ def run_sweep(
 ) -> SweepReport:
     """Run the verification battery over every poset of the manifest.
 
-    Raises WorkerPanic if any case dies unexpectedly; the offending poset
-    travels with the exception for reproduction.
+    Raises ManifestError on a malformed manifest, on ``jobs`` below 1 and
+    on a negative ``cap_matchings``, and WorkerPanic if any case dies
+    unexpectedly; the offending poset travels with the exception for
+    reproduction.
     """
     config = validate_manifest(manifest)
     if jobs is None:
         jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ManifestError(f"jobs must be at least 1, not {jobs}")
+    if cap_matchings < 0:
+        raise ManifestError(f"cap_matchings must be at least 0, not {cap_matchings}")
     started = time.perf_counter()
     payloads = list(_iter_payloads(config, cap_matchings))
     results: list[dict] = []

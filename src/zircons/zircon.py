@@ -95,12 +95,6 @@ class MatchingFamily:
     component_of: tuple[int, ...]
 
 
-def _zircon_at(P: Poset, i: int) -> bool:
-    """The zircon condition at element i: the principal ideal of i, searched
-    in place as a bitmask of P, has a special matching."""
-    return next(_special_partners(P, P._below[i] | 1 << i), None) is not None
-
-
 def is_zircon(P: Poset) -> bool:
     """Every principal ideal below a non-minimal element has a special
     matching. Finiteness is automatic in this representation; an element

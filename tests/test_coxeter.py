@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from zircons import (
@@ -9,6 +11,7 @@ from zircons import (
     diagram_automorphism,
     fix_subgroup_poset,
     fixed_point_matching,
+    has_special_matching,
     is_special,
     is_zircon,
     leq,
@@ -19,7 +22,8 @@ from zircons import (
     twisted_involutions,
     twisted_map,
 )
-from zircons.coxeter import _check_descent
+from zircons.cli import main
+from zircons.coxeter import _descent_failures
 from zircons.posets import PosetMap, induced_subposet
 
 TRIALITY = "s1:s2,s2:s4,s4:s1"
@@ -286,9 +290,10 @@ def _weak_order_as_bruhat(W, monkeypatch):
 
 
 class TestDescentPass:
-    """``_check_descent`` reads every descent matching off one pass over the
-    whole Bruhat order per generator; ``descent_matching`` on the built
-    ideal is its oracle, for every (w, s, side), under injected faults too."""
+    """``_descent_failures`` checks every descent matching in one pass over
+    the whole Bruhat order per generator and side; ``descent_matching`` on
+    the built ideal is its oracle, for every (w, s, side), under injected
+    faults too."""
 
     @staticmethod
     def _verdicts(W, check):
@@ -306,7 +311,19 @@ class TestDescentPass:
     @staticmethod
     def _per_generator(W):
         passes = {}
-        return lambda el, s, side: _check_descent(W, el, s, side, passes)
+
+        def check(el, s, side):
+            k = W.gen_index(s) - 1
+            if (k, side) not in passes:
+                passes[k, side] = _descent_failures(W, k, side)
+            descents, failures = passes[k, side]
+            i = W._position(el)
+            if not descents >> i & 1:
+                raise CoxeterError(f"{s!r} is not a {side} descent of {el.label!r}")
+            if i in failures:
+                raise CoxeterError(failures[i])
+
+        return check
 
     @pytest.mark.parametrize("type_spec", ["A3", "B3", "D4", "I2:6"])
     @pytest.mark.parametrize(
@@ -341,6 +358,41 @@ class TestDescentPass:
             assert want.count(None) == sum(
                 len(W.right_descents(el)) + len(W.left_descents(el)) for el in W.elements
             )
+
+    @pytest.mark.parametrize("type_spec", ["A3", "B3", "D4", "I2:6"])
+    def test_zircon_check_equals_per_element_loop(self, monkeypatch, tmp_path, type_spec):
+        """Under the weak order in place of the Bruhat order, the whole
+        ``zircon-check`` report is the one a loop over the elements builds
+        from ``descent_matching`` and a search on each built ideal: the
+        same witnesses in the same order, count and verdict."""
+        W = build_coxeter(type_spec)
+        _weak_order_as_bruhat(W, monkeypatch)
+        B = W.bruhat_poset()
+        witnesses, count, zircon = [], 0, True
+        for el in W.elements[1:]:  # every element but e
+            ideal = principal_ideal(B, el.label)
+            special = False
+            for side, descents in (("right", W.right_descents(el)), ("left", W.left_descents(el))):
+                for s in descents:
+                    count += 1
+                    try:
+                        descent_matching(W, el, s, side, ideal=ideal)
+                        special = True
+                    except CoxeterError as exc:
+                        witnesses.append([el.label, s, side, str(exc)])
+            zircon = zircon and (special or has_special_matching(ideal))
+        monkeypatch.setattr("zircons.cli.build_coxeter", lambda spec: W)
+        out = tmp_path / "z.json"
+        rc = main(["coxeter", type_spec, "zircon-check", "--output", str(out)])
+        assert json.loads(out.read_text()) == {
+            "type": W.type_spec,
+            "cardinality": len(W),
+            "zircon": zircon,
+            "descent_matchings_checked": count,
+            "all_descent_matchings_special": not witnesses,
+            "witnesses": witnesses,
+        }
+        assert witnesses and rc == 1
 
     @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "I2:6"])
     def test_tables_follow_multiplication(self, spec):

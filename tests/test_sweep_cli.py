@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import zircons.cli
-from zircons import CoxeterError, build_coxeter, is_zircon, leq
+from zircons import build_coxeter, is_zircon, leq
 from zircons.cli import main
 from zircons.sweep import (
     ManifestError,
@@ -260,6 +260,18 @@ class TestSweepCommand:
         tmp, write = files
         assert main(["sweep", write("man.json", {"mode": "bogus"})]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-4"),
+                                            ("--cap-matchings", "-1")])
+    def test_malformed_setting(self, files, capsys, flag, value):
+        """No worker count below 1 and no negative matching cap: malformed
+        input, not a serial run or a made-up truncation."""
+        tmp, write = files
+        out = tmp / "sweep.json"
+        manifest = write("man.json", {"mode": "exhaustive", "max_n": 3})
+        assert main(["sweep", manifest, flag, value, "--output", str(out)]) == 2
+        assert "must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_worker_panic_exits_3(self, files, monkeypatch):
         tmp, write = files
 
@@ -317,31 +329,35 @@ class TestCoxeterCommand:
         assert rc == (0 if obj["zircon"] and not obj["witnesses"] else 1)
 
     def test_zircon_check_falls_back_to_the_search(self, files, monkeypatch):
-        """An ideal none of whose descent matchings passed is searched for a
-        special matching; the failures are reported as witnesses."""
+        """When an element has no passing descent matching, the verdict is
+        ``is_zircon`` on the whole Bruhat order, run once; the failures are
+        reported as witnesses."""
         tmp, _ = files
-        real_descent, real_search = zircons.cli._check_descent, zircons.cli._zircon_at
+        real_failures, real_search = zircons.cli._descent_failures, zircons.cli.is_zircon
         searched = []
 
-        def failing(W, el, s, side, passes):
-            if el.label == "s1.s2.s1":
-                raise CoxeterError("injected failure")
-            return real_descent(W, el, s, side, passes)
+        def failing(W, k, side):
+            descents, failures = real_failures(W, k, side)
+            w = W._position("s1.s2.s1")
+            if descents >> w & 1:
+                failures[w] = "injected failure"
+            return descents, failures
 
-        def search(B, i):  # the ideal of element i, searched in place in B
-            searched.append(B._below[i].bit_count() + 1)
-            return real_search(B, i)
+        def search(P):
+            searched.append(len(P))
+            return real_search(P)
 
-        monkeypatch.setattr("zircons.cli._check_descent", failing)
-        monkeypatch.setattr("zircons.cli._zircon_at", search)
+        monkeypatch.setattr("zircons.cli._descent_failures", failing)
+        monkeypatch.setattr("zircons.cli.is_zircon", search)
         rc = main(["coxeter", "A3", "zircon-check", "--output", str(tmp / "z.json")])
         obj = json.loads((tmp / "z.json").read_text())
         assert rc == 1
         assert obj["zircon"] and not obj["all_descent_matchings_special"]
-        assert sorted(w[:3] for w in obj["witnesses"]) == [
-            ["s1.s2.s1", s, side] for s in ("s1", "s2") for side in ("left", "right")
+        assert obj["witnesses"] == [
+            ["s1.s2.s1", s, side, "injected failure"]
+            for side in ("right", "left") for s in ("s1", "s2")
         ]
-        assert searched == [6]  # the ideal of s1.s2.s1, a copy of A2
+        assert searched == [24]  # B, the Bruhat order of A3
 
     def test_zircon_check_d5(self, files):
         """D5 (1920 elements), once killed at its benchmark limit: rank x |W|
@@ -424,6 +440,26 @@ class TestCoxeterCommand:
         other than the default is still malformed input."""
         assert main(["coxeter", "A3", action, theta]) == 2
         assert "takes no diagram automorphism" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["A2", "zircon-check", "--against", "B2"], "--against"),
+            (["A3", "twisted", "flip", "--against", "B2"], "--against"),
+            (["A2", "export", "--against", "A2"], "--against"),
+            (["A2", "zircon-check", "--format", "dot"], "--format"),
+            (["A3", "fix-check", "flip", "--against", "B2", "--format", "dot"], "--format"),
+            (["A2", "twisted", "--format", "dot"], "--format"),
+        ],
+    )
+    def test_flag_the_action_does_not_read(self, files, capsys, argv, flag):
+        """--against belongs to fix-check and --format to export; on another
+        action either one is malformed input, named in the message."""
+        tmp, _ = files
+        out = tmp / "out"
+        assert main(["coxeter", *argv, "--output", str(out)]) == 2
+        assert f"takes no {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--jobs", "--cap-matchings"])
     def test_sweep_flags_are_rejected(self, files, capsys, flag):
