@@ -45,6 +45,7 @@ from .posets import (
     NotAutomorphismError,
     PosetError,
     PosetMap,
+    _sphericity_witness,
     are_isomorphic,
     induced_subposet,
     is_bounded,
@@ -54,7 +55,7 @@ from .posets import (
     poset_to_dict,
     poset_to_dot,
 )
-from .sweep import ManifestError, WorkerPanic, _sphericity_witness, run_sweep
+from .sweep import ManifestError, WorkerPanic, run_sweep
 from .zircon import (
     BoundednessError,
     ConstructionError,
@@ -80,13 +81,19 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    # bad JSON or UTF-8, an integer over the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON ({exc})")
 
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

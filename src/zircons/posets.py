@@ -9,12 +9,12 @@ next to the cover adjacency ``_up``/``_down`` it is the closure of. The
 label views ``covers``, ``minimal_elements`` and ``maximal_elements``
 are derived from the adjacency on each access. Arbitrary-precision ints
 cannot wrap, so the order is exact at every size. An instance's order
-never changes after construction; the only state it gains is the Mobius
-memo and the signatures of the isomorphism search (a ``PosetMap``: its
-fixed-point subposet), which take no lock: sweeps run in worker
-processes and send plain dict payloads, so no instance is shared between
-threads. Only finite posets are representable, hence local-finiteness
-hypotheses hold vacuously throughout.
+never changes after construction; the only state it gains is the
+signatures of the isomorphism search (a ``PosetMap``: its fixed-point
+subposet), which take no lock: sweeps run in worker processes and send
+plain dict payloads, so no instance is shared between threads. Only
+finite posets are representable, hence local-finiteness hypotheses hold
+vacuously throughout.
 """
 
 from __future__ import annotations
@@ -135,8 +135,7 @@ class Poset:
     covers mode; the subposet functions build from a parent's order.
     """
 
-    __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo", "_mobius_cols",
-                 "_sigs")
+    __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo", "_sigs")
 
     def __init__(self, elements: Iterable, covers: Iterable, *, _relations: bool = False):
         ids = tuple(str(e) for e in elements)
@@ -184,7 +183,6 @@ class Poset:
         # sorting by |strict downset| is a linear extension
         self._topo = tuple(sorted(range(n), key=lambda i: (below[i].bit_count(), i)))
         self._rank = self._compute_rank()
-        self._mobius_cols: dict[int, dict[int, int]] = {}
         self._sigs: Optional[tuple] = None  # filled by _signatures()
 
     def _compute_rank(self) -> Optional[tuple[int, ...]]:
@@ -442,28 +440,45 @@ def rank_function(P: Poset) -> Optional[dict[str, int]]:
 
 
 def mobius(P: Poset, x, y) -> int:
-    """Mobius value computed by downward recursion, memoized per column."""
+    """Mobius value by the recursion from x up, over the ideal below y."""
     ix, iy = P.index(x), P.index(y)
     if not (ix == iy or P._below[iy] >> ix & 1):
         raise NotComparableError(f"{x!r} is not below {y!r}")
-    return _mobius(P, ix, iy)
+    return _mobius_row(P, ix, P._below[iy] | 1 << iy)[iy]
 
 
-def _mobius(P: Poset, ix: int, iy: int) -> int:
-    """``mobius`` on the element indices ix <= iy."""
+def _mobius_row(P: Poset, x: int, within: int) -> dict[int, int]:
+    """mu(x, z) for x and every z > x in the bitmask ``within``, which
+    holds x and everything between x and each of its members.
+
+    One pass of the linear extension ``_topo``: mu(x, x) = 1, and each z
+    takes minus the sum of the row over [x, z), which lies in the row
+    already since everything below z comes before it.
+    """
     below = P._below
-    col = P._mobius_cols.setdefault(ix, {ix: 1})
-    if iy not in col:
-        members = [
-            z
-            for z in P._topo
-            if (z == ix or below[z] >> ix & 1) and (z == iy or below[iy] >> z & 1)
-        ]
-        for pos, z in enumerate(members):
-            if z in col:
-                continue
-            col[z] = -sum(col[w] for w in members[:pos] if below[z] >> w & 1)
-    return col[iy]
+    row = {x: 1}
+    members = 1 << x
+    for z in P._topo:
+        if within >> z & 1 and below[z] >> x & 1:
+            row[z] = -sum(row[w] for w in _bits(below[z] & members))
+            members |= 1 << z
+    return row
+
+
+def _sphericity_witness(P: Poset) -> Optional[list]:
+    """First pair x <= y, x in index order and then y, with
+    mu(x, y) != (-1)^(rank difference), as labels; ``["unranked zircon"]``
+    if P has no rank function."""
+    rank = P._rank
+    if rank is None:
+        return ["unranked zircon"]
+    everything = (1 << len(P)) - 1
+    for x in range(len(P)):
+        row = _mobius_row(P, x, everything)
+        bad = [y for y, value in row.items() if value != (-1) ** (rank[y] - rank[x])]
+        if bad:
+            return [P.elements[x], P.elements[min(bad)]]
+    return None
 
 
 def is_bounded(P: Poset) -> bool:

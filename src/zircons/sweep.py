@@ -31,7 +31,7 @@ from .matchings import (
     _special_partners,
     matching_pairs,
 )
-from .posets import Poset, _mobius, automorphisms, is_bounded, poset_from_dict, poset_to_dict
+from .posets import Poset, _sphericity_witness, automorphisms, is_bounded, poset_from_dict, poset_to_dict
 from .zircon import (
     ConstructionError,
     ExtremaError,
@@ -153,18 +153,6 @@ def _record(poset_id: str, check: str, ok: bool, *, matching: Optional[int] = No
         "witness": witness,
         "info": info,
     }
-
-
-def _sphericity_witness(P: Poset) -> Optional[list]:
-    """First interval violating mu(x, y) = (-1)^(rank difference), if any."""
-    rank, below = P._rank, P._below
-    if rank is None:
-        return ["unranked zircon"]
-    for x in range(len(P)):
-        for y in range(len(P)):
-            if (x == y or below[y] >> x & 1) and _mobius(P, x, y) != (-1) ** (rank[y] - rank[x]):
-                return [P.elements[x], P.elements[y]]
-    return None
 
 
 def _ideal_minimum_witness(P: Poset) -> Optional[str]:

@@ -12,13 +12,14 @@ its orderly generation: every naturally labelled order, bucketed by the
 sorted signatures, kept unless ``_iso_search`` maps an earlier class of
 its bucket onto it. ``least_tuple`` is the canonical form by brute force
 over all orderings, and ``is_least_without_twins`` the canonicity search
-without its twin pruning.
+without its twin pruning. ``labelled_posets`` expands every class through
+all of its distinct relabellings.
 """
 
 from itertools import permutations
 
-from zircons.corpus import _poset_from_masks
-from zircons.posets import Poset, _bits, _iso_search, _signatures
+from zircons.corpus import _poset_from_masks, enumerate_posets
+from zircons.posets import Poset, _bits, _iso_search, _order, _poset, _signatures
 
 
 def signatures(P: Poset) -> list[tuple[int, int, int, int, int]]:
@@ -169,3 +170,19 @@ def is_least_without_twins(below: list[int], m: int) -> bool:
         return True
 
     return search(0, 0)
+
+
+def labelled_posets(n: int):
+    """Every poset on "0".."n-1" exactly once: each class of
+    ``enumerate_posets`` under all of its distinct relabellings."""
+    ids = tuple(map(str, range(n)))
+    for rep in enumerate_posets(n):
+        cover_idx = [(i, j) for i, ups in enumerate(rep._up) for j in ups]
+        seen: set[frozenset] = set()
+        for perm in permutations(range(n)):
+            relabeled = frozenset((perm[i], perm[j]) for i, j in cover_idx)
+            if relabeled in seen:
+                continue
+            seen.add(relabeled)
+            # relabelling carries covers to covers, so the pairs need no check
+            yield _poset(ids, *_order(ids, sorted(relabeled)))

@@ -1,6 +1,12 @@
 import pytest
 
-from iso_oracle import is_least_without_twins, iso_classes, least_tuple, natural_strict_orders
+from iso_oracle import (
+    is_least_without_twins,
+    iso_classes,
+    labelled_posets,
+    least_tuple,
+    natural_strict_orders,
+)
 from zircons import (
     PosetError,
     are_isomorphic,
@@ -29,7 +35,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n,count", list(enumerate(LABELED_COUNTS[:4], start=1)))
     def test_labeled_counts(self, n, count):
-        assert sum(1 for _ in enumerate_posets(n, canonical=False)) == count
+        assert sum(1 for _ in labelled_posets(n)) == count
 
     def test_classes_are_pairwise_non_isomorphic(self):
         classes = list(enumerate_posets(4))
@@ -39,7 +45,7 @@ class TestEnumeration:
 
     def test_every_labeled_poset_has_a_class(self):
         classes = list(enumerate_posets(3))
-        for P in enumerate_posets(3, canonical=False):
+        for P in labelled_posets(3):
             assert sum(1 for Q in classes if are_isomorphic(P, Q) is not None) == 1
 
     def test_cap(self):

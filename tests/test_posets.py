@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iso_oracle import labelled_posets
 from zircons import (
     CycleError,
     DuplicateElementError,
@@ -16,6 +17,7 @@ from zircons import (
     automorphisms,
     build_coxeter,
     build_poset,
+    enumerate_posets,
     induced_subposet,
     interval,
     is_automorphism,
@@ -23,6 +25,7 @@ from zircons import (
     map_from_dict,
     map_to_dict,
     mobius,
+    mobius_matrix,
     mobius_oracle,
     poset_from_dict,
     poset_to_dict,
@@ -31,7 +34,7 @@ from zircons import (
     rank_function,
 )
 import zircons
-from zircons.posets import PosetMap
+from zircons.posets import PosetMap, _sphericity_witness
 
 
 def brute_closure(relations):
@@ -261,6 +264,41 @@ class TestMobius:
                 for y in P.elements:
                     if leq(P, x, y):
                         assert mobius(P, x, y) == mobius_oracle(P, x, y)
+
+    def test_sphericity_witness_against_zeta_inversion(self):
+        """On every class with n <= 6 the witness is the first pair (x, y),
+        x in index order and then y, where the zeta-inversion table breaks
+        mu(x, y) = (-1)^(rank difference); an unranked class has none."""
+        counts = {"ranked": 0, "unranked": 0, "fired": 0}
+        for n in range(1, 7):
+            for P in enumerate_posets(n):
+                witness = _sphericity_witness(P)
+                assert witness == zeta_sphericity_witness(P)
+                if witness == ["unranked zircon"]:
+                    counts["unranked"] += 1
+                else:
+                    counts["ranked"] += 1
+                    counts["fired"] += witness is not None
+        assert counts == {"ranked": 365, "unranked": 40, "fired": 243}
+
+    def test_sphericity_witness_in_index_order(self):
+        """In a labelled poset the index order need not be a linear
+        extension; the witness still takes x and then y in index order."""
+        for n in range(1, 5):
+            for P in labelled_posets(n):
+                assert _sphericity_witness(P) == zeta_sphericity_witness(P)
+
+
+def zeta_sphericity_witness(P):
+    """The first pair (x, y), x in index order and then y, where the
+    zeta-inversion table breaks mu(x, y) = (-1)^(rank difference), as
+    labels; ["unranked zircon"] if P has no rank function."""
+    rank = rank_function(P)
+    if rank is None:
+        return ["unranked zircon"]
+    table = mobius_matrix(P)
+    return next(([x, y] for x in P.elements for y in P.elements
+                 if (x, y) in table and table[x, y] != (-1) ** (rank[y] - rank[x])), None)
 
 
 def brute_automorphisms(P):

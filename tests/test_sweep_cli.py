@@ -216,6 +216,34 @@ class TestCheckCommand:
         assert json.loads((tmp / "report.json").read_text())["matching"] is False
 
 
+def _unreadable(tmp, write):
+    """Argument lists that name a file the CLI cannot read or write."""
+    (tmp / "dir").mkdir()
+    (tmp / "latin1.json").write_bytes(b'{"elements": ["\xe9"], "covers": []}')
+    (tmp / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp / "big.json").write_text('{"mode": "exhaustive", "max_n": ' + "9" * 5000 + "}")
+    return {
+        "directory": ["dot", str(tmp / "dir")],
+        "not UTF-8": ["dot", str(tmp / "latin1.json")],
+        "nested 100k deep": ["dot", str(tmp / "deep.json")],
+        "5000-digit integer": ["sweep", str(tmp / "big.json")],
+        "output is a directory": ["check", write("p.json", DIAMOND),
+                                  write("m.json", {"pairs": [["0", "1"], ["2", "3"]]}),
+                                  "--output", str(tmp / "dir")],
+    }
+
+
+@pytest.mark.parametrize("case", ["directory", "not UTF-8", "nested 100k deep", "5000-digit integer",
+                                  "output is a directory"])
+def test_unreadable_file_is_input_error(files, capsys, case):
+    """A file that cannot be read, decoded or written exits 2 with one
+    error line, not 1 with a traceback."""
+    argv = _unreadable(*files)[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _ideal_minimum_walk(P):
     """First non-minimal element whose principal ideal, built here from
     ``leq``, has more than one minimal element."""
