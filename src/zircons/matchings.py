@@ -4,9 +4,9 @@ A matching is a fixed-point-free involution pairing each element with one
 of its Hasse neighbors. It is special when for every cover p < q either
 M(p) = q or M(p) < M(q). Enumeration is exponential in the worst case, so
 it is guarded by a configurable cap; hitting the cap raises rather than
-silently truncating. Inside the library a matching is a ``partner`` tuple,
-``partner[i]`` the index matched to element i; each public function takes
-and returns label dicts, converted once at its boundary.
+silently truncating. Inside the library a matching is a ``partner``
+sequence, ``partner[i]`` the index matched to element i or -1; each public
+function takes and returns label dicts, converted once at its boundary.
 """
 
 from __future__ import annotations
@@ -54,18 +54,29 @@ class Verdict:
         return self.ok
 
 
-def _partner(P: Poset, M: Mapping) -> Optional[tuple[int, ...]]:
+def _partner(P: Poset, M: Mapping) -> Optional[list[int]]:
     """The index form of M, ``partner[i]`` the index matched to i, or None
-    unless M is total and each pair a Hasse edge matched both ways."""
-    index, up = P._index, P._up
+    unless M is a matching; UnknownElementError on an id that is not an
+    element, whatever else is wrong with M."""
+    index = P._index
+    partner = [-1] * len(P)
     try:
-        pairs = {index[str(k)]: index[str(v)] for k, v in M.items()}
+        for k, v in M.items():
+            partner[index[str(k)]] = index[str(v)]
     except KeyError:
         raise UnknownElementError("matching references unknown ids") from None
-    if len(pairs) == len(P) and all(pairs[j] == i and (j in up[i] or i in up[j])
-                                    for i, j in pairs.items()):
-        return tuple(pairs[i] for i in range(len(P)))
-    return None
+    # two keys naming one element leave another unmatched, at -1
+    return partner if len(M) == len(P) and _is_matching(P, partner) else None
+
+
+def _is_matching(P: Poset, partner: Sequence[int]) -> bool:
+    """Whether the index form ``partner`` is a matching of P: each element
+    paired with a Hasse neighbour that is paired back; -1 is unmatched."""
+    up = P._up
+    for i, j in enumerate(partner):
+        if j == -1 or partner[j] != i or (j not in up[i] and i not in up[j]):
+            return False
+    return True
 
 
 def _failing_covers(P: Poset, partner: Sequence[int]) -> Iterator[tuple[int, int]]:

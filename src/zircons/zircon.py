@@ -10,13 +10,19 @@ pairing each fixed point with the opposite extremum of its component is a
 special matching on the fixed-point subposet.
 
 Each public call converts its labels and checks its input once, at the
-boundary, and its result once: ``matching_family`` checks that M is
-special, and ``fixed_point_matching`` checks that the induced pairing is
-special on the fixed points. The steps in between trust the theory and
-are not re-checked at run time; the test suite checks them exhaustively
-on small posets. A result that fails its one check raises
-``ConstructionError`` loudly. Inside, matchings are ``partner`` tuples
-of ``matchings`` and components are bitmasks over element indices.
+boundary, and its result once. ``matching_family`` and
+``fixed_point_matching`` check that M is special on P; the latter also
+checks that phi is an automorphism and P bounded, and then checks the
+induced pairing once, in index form, on the fixed-point subposet: first
+to be a matching, then to be special. The steps in between trust the
+theory and are not re-checked at run time; the test suite checks them
+against a construction on the whole matching family. A result that
+fails its one check raises ``ConstructionError`` loudly. Inside,
+matchings are ``partner`` tuples of ``matchings`` and components are
+bitmasks over element indices. ``fixed_point_matching`` builds the
+conjugates and walks only the components that hold fixed points; the
+family, with every component, is built only for ``matching_family``,
+``fixed_point_report`` and the sweep's records.
 ``is_zircon`` searches a principal ideal in place, as the bitmask of its
 members, and builds no ideal poset. It searches top down and reuses each
 special matching it finds on every smaller ideal that the matching maps
@@ -31,16 +37,15 @@ from typing import Mapping, Optional, Sequence
 from .matchings import (
     MatchingError,
     _failing_covers,
+    _is_matching,
     _partner,
     _special_partners,
-    is_special,
     matching_pairs,
 )
 from .posets import (
     Poset,
     PosetMap,
     NotAutomorphismError,
-    UnknownElementError,
     _bits,
     _induced,
     is_bounded,
@@ -151,10 +156,18 @@ def definitions_agree(P: Poset) -> bool:
 
 def _as_poset_map(P: Poset, f) -> PosetMap:
     if isinstance(f, PosetMap):
-        if f.source != P:
+        if f.source is not P and f.source != P:
             raise NotAutomorphismError("map belongs to a different poset")
         return f
     return PosetMap(P, f)
+
+
+def _special_input(P: Poset, M: Mapping) -> list[int]:
+    """The index form of M, checked once to be a special matching of P."""
+    partner = _partner(P, M)
+    if partner is None or next(_failing_covers(P, partner), None):
+        raise MatchingError("family construction requires a special matching")
+    return partner
 
 
 def matching_family(P: Poset, M: Mapping, phi) -> MatchingFamily:
@@ -165,37 +178,49 @@ def matching_family(P: Poset, M: Mapping, phi) -> MatchingFamily:
     phi is an automorphism, and they are not re-checked.
     """
     fm = _as_poset_map(P, phi)
-    partner = _partner(P, M)
-    if partner is None or next(_failing_covers(P, partner), None):
-        raise MatchingError("family construction requires a special matching")
-    return _matching_family(partner, fm)
+    return _matching_family(_special_input(P, M), fm)
 
 
-def _matching_family(partner: tuple[int, ...], phi: PosetMap) -> MatchingFamily:
-    """The family of a special matching given in index form, not checked."""
-    perm, inverse = phi._perm, phi.inverse()._perm
+def _conjugates(partner: Sequence[int], phi: PosetMap) -> tuple[tuple[int, ...], ...]:
+    """M_1..M_N of a matching in index form, M_k = phi M_(k-1) phi^-1."""
+    perm = phi._perm
     members = []
     for _ in range(phi.order()):
-        partner = tuple(perm[partner[j]] for j in inverse)  # i -> phi(M(phi^-1(i)))
+        conjugate = [0] * len(perm)
+        for j, image in enumerate(perm):  # phi(j) is matched to phi(M(j))
+            conjugate[image] = perm[partner[j]]
+        partner = tuple(conjugate)
         members.append(partner)
+    return tuple(members)
 
+
+def _component(members: Sequence[Sequence[int]], x: int) -> int:
+    """The component of x in the union of the members' edges, a bitmask."""
+    mask, queue = 1 << x, [x]
+    for y in queue:  # the queue grows while it is walked
+        for member in members:
+            z = member[y]
+            if not mask >> z & 1:
+                mask |= 1 << z
+                queue.append(z)
+    return mask
+
+
+def _matching_family(partner: Sequence[int], phi: PosetMap) -> MatchingFamily:
+    """The family of a special matching given in index form, not checked."""
+    members = _conjugates(partner, phi)
     components: list[int] = []
-    component_of = [-1] * len(perm)
-    for x in range(len(perm)):
-        if component_of[x] != -1:
-            continue
-        mask, queue = 1 << x, [x]
-        for y in queue:  # the queue grows while it is walked
-            component_of[y] = len(components)
-            for member in members:
-                if not mask >> member[y] & 1:
-                    mask |= 1 << member[y]
-                    queue.append(member[y])
-        components.append(mask)
+    component_of = [-1] * len(partner)
+    for x in range(len(partner)):
+        if component_of[x] == -1:
+            mask = _component(members, x)
+            for y in _bits(mask):
+                component_of[y] = len(components)
+            components.append(mask)
     return MatchingFamily(
         automorphism=phi,
         order=len(members),
-        members=tuple(members),
+        members=members,
         components=tuple(components),
         component_of=tuple(component_of),
     )
@@ -210,20 +235,19 @@ def _extrema(P: Poset, mask: int) -> tuple[int, int]:
     """Indices of the unique minimum and maximum of the subposet on the
     bitmask ``mask``; ExtremaError when either is not unique."""
     below = P._below
-    members, rest = [], mask
+    mins, under, rest = [], 0, mask  # under: everything strictly below some member
     while rest:  # the set bits, lowest first: a component has few of P's
         low = rest & -rest
-        members.append(low.bit_length() - 1)
+        x = low.bit_length() - 1
         rest ^= low
-    under = 0  # everything strictly below some member
-    for y in members:
-        under |= below[y]
-    mins = [x for x in members if not below[x] & mask]
-    maxs = [x for x in members if not under >> x & 1]
-    if len(mins) != 1 or len(maxs) != 1:
-        names = [[P.elements[x] for x in xs] for xs in (members, mins, maxs)]
+        under |= below[x]
+        if not below[x] & mask:
+            mins.append(x)
+    top = mask & ~under  # the maximal members
+    if len(mins) != 1 or top & (top - 1):
+        names = [[P.elements[x] for x in xs] for xs in (_bits(mask), mins, _bits(top))]
         raise ExtremaError("component {} has extrema {} / {}".format(*names))
-    return mins[0], maxs[0]
+    return mins[0], top.bit_length() - 1
 
 
 def component_extrema(P: Poset, C) -> tuple[str, str]:
@@ -290,48 +314,58 @@ def _require_bounded(P: Poset) -> None:
         raise BoundednessError("fixed-point construction requires a bounded poset")
 
 
-def _fixed_point_matching(P: Poset, family: MatchingFamily) -> dict[str, str]:
-    """Pair each fixed point with the opposite extremum of its component,
-    then check once that the pairing is special on the fixed-point
-    subposet of the family's automorphism."""
-    labels = P.elements
-    result: dict[str, str] = {}
-    extrema: dict[int, tuple[int, int]] = {}  # by component index
-    for p, image in enumerate(family.automorphism._perm):
-        if image != p:
-            continue
-        c = family.component_of[p]
-        if c not in extrema:
-            extrema[c] = _extrema(P, family.components[c])
-        lo, hi = extrema[c]
-        if p not in (lo, hi):
+def _fixed_point_matching(P: Poset, members: Sequence[Sequence[int]], phi: PosetMap) -> dict[str, str]:
+    """Pair each fixed point of phi with the opposite extremum of its
+    component in the union of the conjugates ``members``, then check once
+    that the pairing is special on the fixed-point subposet.
+
+    Only the components of fixed points are walked, and each has its
+    extrema taken by ``_extrema``; a component is walked again only for a
+    fixed point that is neither extremum, which then raises. The fixed
+    points are taken in index order, and the first whose component has
+    no unique extrema raises ``ExtremaError``, the first that is neither
+    extremum ``ConstructionError``. The pairing is then checked in index form on
+    the fixed-point subposet, by ``_is_matching`` and then
+    ``_failing_covers``, each failure a ``ConstructionError``. Labels are
+    built once, for the return value.
+    """
+    fixed = [p for p, image in enumerate(phi._perm) if image == p]
+    position = {p: k for k, p in enumerate(fixed)}  # index in the fixed-point subposet
+    ends: dict[int, tuple[int, int]] = {}  # each extremum of a walked component: its extrema
+    pairing = []  # in the fixed-point subposet's indices, -1 when not a fixed point
+    for p in fixed:
+        extrema = ends.get(p)
+        if extrema is None:  # p is the first fixed point of its component, or neither extremum
+            extrema = _extrema(P, _component(members, p))
+            ends[extrema[0]] = ends[extrema[1]] = extrema
+        lo, hi = extrema
+        if p != lo and p != hi:
             raise ConstructionError(
-                f"fixed point {labels[p]!r} is neither the minimum nor the maximum of its component"
+                f"fixed point {P.elements[p]!r} is neither the minimum nor the maximum of its component"
             )
-        result[labels[p]] = labels[lo if p == hi else hi]
-    try:
-        verdict = is_special(_fixed_subposet(P, family.automorphism), result)
-    except (MatchingError, UnknownElementError) as exc:
-        raise ConstructionError("induced pairing is not a matching on the fixed points") from exc
-    if not verdict:
-        raise ConstructionError(
-            f"induced matching is not special at cover {verdict.witness}"
-        )
-    return result
+        pairing.append(position.get(lo if p == hi else hi, -1))
+    sub = _fixed_subposet(P, phi)
+    if not _is_matching(sub, pairing):
+        raise ConstructionError("induced pairing is not a matching on the fixed points")
+    labels = sub.elements
+    for p, q in _failing_covers(sub, pairing):  # the first one, if any
+        raise ConstructionError(f"induced matching is not special at cover {(labels[p], labels[q])}")
+    return {labels[k]: labels[j] for k, j in enumerate(pairing)}
 
 
 def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
     """The induced special matching on the fixed points of phi.
 
     Input, checked at the boundary: phi an automorphism of P, P bounded,
-    M special (the last by ``matching_family``). Each fixed point sits at
-    an extremum of its orbit component and is matched to the opposite
-    extremum. The result is checked once, to be a special matching on the
-    fixed-point subposet; ``ConstructionError`` is raised otherwise.
+    M special. Each fixed point sits at an extremum of its orbit component
+    and is matched to the opposite extremum. The result is checked once,
+    to be a special matching on the fixed-point subposet;
+    ``ConstructionError`` is raised otherwise. No ``MatchingFamily`` is
+    built: only the conjugates and the components of the fixed points.
     """
     fm = _as_poset_map(P, phi)
     _require_bounded(P)
-    return _fixed_point_matching(P, matching_family(P, M, fm))
+    return _fixed_point_matching(P, _conjugates(_special_input(P, M), fm), fm)
 
 
 def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
@@ -353,7 +387,7 @@ def _fixed_point_report(P: Poset, family: MatchingFamily) -> dict:
     }
     try:
         _require_bounded(P)
-        m_phi = _fixed_point_matching(P, family)
+        m_phi = _fixed_point_matching(P, family.members, phi)
     except (BoundednessError, ConstructionError, ExtremaError) as exc:
         report["witness"] = str(exc)
         return report

@@ -10,10 +10,16 @@ as the library, and it raises ``SearchLimitError`` at the same count.
 ``per_ideal_is_zircon`` is the zircon test that the library used before it
 reused each special matching on the smaller ideals it maps onto itself:
 one search per principal ideal below a non-minimal element.
+
+``family_fixed_point_matching`` is the fixed-point construction that the
+library used before it walked only the components of fixed points: it
+builds every component of the matching family, takes ``_extrema`` once per
+fixed point and checks the result with the label-level ``is_special``.
 """
 
-from zircons.matchings import SearchLimitError
-from zircons.posets import Poset, _bits
+from zircons.matchings import MatchingError, SearchLimitError, is_special
+from zircons.posets import Poset, PosetMap, UnknownElementError, _bits
+from zircons.zircon import ConstructionError, _extrema, fixed_point_subposet
 
 
 def recursive_special_partners(P: Poset, members: int, limit=None):
@@ -72,3 +78,52 @@ def per_ideal_is_zircon(P: Poset) -> bool:
     own, has a special matching."""
     return all(next(recursive_special_partners(P, row | 1 << i), None) is not None
                for i, row in enumerate(P._below) if row)
+
+
+def family_fixed_point_matching(P: Poset, partner, phi: PosetMap) -> dict[str, str]:
+    """The fixed-point construction on the whole matching family, as the
+    library built it before it walked only the components of fixed points.
+
+    Every conjugate M_k = phi M_(k-1) phi^-1 and every component of their
+    union are built; each fixed point, in index order, takes ``_extrema``
+    of its component and is paired with the opposite extremum; the result
+    is checked by the label-level ``is_special`` on the fixed-point
+    subposet. ``partner`` is any map of P to itself in index form.
+    """
+    n, perm, inverse = len(P), phi._perm, phi.inverse()._perm
+    members = []
+    for _ in range(phi.order()):
+        partner = tuple(perm[partner[j]] for j in inverse)
+        members.append(partner)
+    components: list[int] = []
+    component_of = [-1] * n
+    for x in range(n):
+        if component_of[x] != -1:
+            continue
+        mask, queue = 1 << x, [x]
+        for y in queue:
+            component_of[y] = len(components)
+            for member in members:
+                if not mask >> member[y] & 1:
+                    mask |= 1 << member[y]
+                    queue.append(member[y])
+        components.append(mask)
+
+    labels = P.elements
+    result: dict[str, str] = {}
+    for p, image in enumerate(perm):
+        if image != p:
+            continue
+        lo, hi = _extrema(P, components[component_of[p]])
+        if p not in (lo, hi):
+            raise ConstructionError(
+                f"fixed point {labels[p]!r} is neither the minimum nor the maximum of its component"
+            )
+        result[labels[p]] = labels[lo if p == hi else hi]
+    try:
+        verdict = is_special(fixed_point_subposet(P, phi), result)
+    except (MatchingError, UnknownElementError) as exc:
+        raise ConstructionError("induced pairing is not a matching on the fixed points") from exc
+    if not verdict:
+        raise ConstructionError(f"induced matching is not special at cover {verdict.witness}")
+    return result

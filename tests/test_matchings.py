@@ -25,7 +25,7 @@ from zircons import (
     twisted_map,
     verify_lifting,
 )
-from zircons.matchings import _special_partners
+from zircons.matchings import _partner, _special_partners
 from zircons.posets import _bits, automorphisms
 
 
@@ -81,6 +81,29 @@ class TestIsMatching:
     def test_unknown_ids_raise(self, diamond):
         with pytest.raises(UnknownElementError):
             is_matching(diamond, {"0": "zz", "zz": "0"})
+
+    @pytest.mark.parametrize("M", [
+        {"zz": "0"},
+        {"0": "1", "1": "0", "2": "3", "3": "2", "zz": "0"},
+        {"0": "1", "1": "0", "2": "3", "3": "zz"},
+    ])
+    def test_unknown_id_raises_before_the_size_is_judged(self, diamond, M):
+        with pytest.raises(UnknownElementError):
+            is_matching(diamond, M)
+
+    def test_int_keys(self, diamond):
+        M = {0: 1, 1: 0, 2: 3, 3: 2}
+        assert is_matching(diamond, M) and is_special(diamond, M).ok
+        assert _partner(diamond, M) == [1, 0, 3, 2]
+
+    @pytest.mark.parametrize("M", [
+        {"0": "1", 1: "0", "1": "0", "2": "3", "3": "2"},  # five keys
+        {"0": "1", 1: "0", "1": "0", "2": "3"},  # four keys, "3" unmatched
+    ])
+    def test_one_element_keyed_twice(self, diamond, M):
+        assert not is_matching(diamond, M)
+        with pytest.raises(MatchingError, match="not a matching"):
+            is_special(diamond, M)
 
 
 class TestIsSpecial:

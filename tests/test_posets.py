@@ -363,6 +363,15 @@ class TestAutomorphisms:
                 for g in maps:
                     assert f.compose(g)._perm in perms
 
+    def test_order_is_the_lcm_of_the_cycles(self, cube):
+        """The cube's automorphisms permute its three coordinates: orders
+        1, 2 and 3."""
+        maps = automorphisms(cube)
+        orders = [m.order() for m in maps]
+        assert sorted(orders) == [1, 2, 2, 2, 3, 3]
+        for m, order in zip(maps, orders):
+            assert all(m.power(k).is_identity() == (k % order == 0) for k in range(1, 7))
+
     def test_is_automorphism_rejects_order_reversal(self, diamond):
         assert not is_automorphism(
             diamond, {"0": "3", "3": "0", "1": "1", "2": "2"}

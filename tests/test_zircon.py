@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from matching_oracle import per_ideal_is_zircon
+from matching_oracle import family_fixed_point_matching, per_ideal_is_zircon
 
 import zircons.matchings
 import zircons.zircon
@@ -27,6 +27,7 @@ from zircons import (
     fixed_point_subposet,
     greedy_descend,
     has_special_matching,
+    interval,
     is_special,
     is_zircon,
     is_zircon_ranked,
@@ -42,7 +43,8 @@ from zircons import (
     twisted_map,
 )
 from zircons.cli import main
-from zircons.posets import Poset, PosetMap, automorphisms
+from zircons.matchings import _partner
+from zircons.posets import Poset, PosetMap, automorphisms, is_bounded
 from zircons.sweep import sweep_case
 
 
@@ -187,6 +189,14 @@ class TestComponents:
     def test_extrema_raises_on_bad_set(self, diamond):
         with pytest.raises(ExtremaError):
             component_extrema(diamond, {"1", "2"})
+
+    def test_extrema_needs_both_unique(self, diamond):
+        """One unique extremum is not enough: the other side is tested too,
+        and the message lists the set and both kinds of extremal members."""
+        with pytest.raises(ExtremaError, match=r"\['0', '1', '2'\] has extrema \['0'\] / \['1', '2'\]"):
+            component_extrema(diamond, {"0", "1", "2"})
+        with pytest.raises(ExtremaError, match=r"\['1', '2', '3'\] has extrema \['1', '2'\] / \['3'\]"):
+            component_extrema(diamond, {"1", "2", "3"})
 
 
 class TestGreedyDescend:
@@ -403,6 +413,98 @@ def test_index_form_agrees_with_label_walk(corpus_to_5, cube, a3):
     assert cases > 1000
 
 
+def _outcome(construct, *args):
+    """The result of a construction, or the type and message of its error."""
+    try:
+        return construct(*args)
+    except (ExtremaError, ConstructionError) as exc:
+        return type(exc), str(exc)
+
+
+def _involutions(n, partner=None, start=0):
+    """Every involution of range(n), fixed points allowed, as tuples."""
+    partner = [-1] * n if partner is None else partner
+    while start < n and partner[start] != -1:
+        start += 1
+    if start == n:
+        yield tuple(partner)
+        return
+    for j in range(start, n):
+        if partner[j] == -1:
+            partner[start], partner[j] = j, start
+            yield from _involutions(n, partner, start + 1)
+            partner[start] = partner[j] = -1
+
+
+_ERROR_KINDS = ("has extrema", "neither the minimum", "not a matching", "not special")
+
+
+class TestAgainstFamilyOracle:
+    """``fixed_point_matching`` walks only the components of fixed points
+    and checks its result in index form. The oracle builds the whole
+    matching family, takes the extrema of every fixed point's component
+    and checks the result by labels. They give equal dicts on every
+    special matching and automorphism, and the same error type and
+    message on injected broken partners."""
+
+    @staticmethod
+    def _agree(P, M, phi):
+        got = fixed_point_matching(P, M, phi)
+        assert got == family_fixed_point_matching(P, _partner(P, M), phi)
+        return got
+
+    @pytest.mark.parametrize("spec,count", [("A3", 1518), ("B3", 9276), ("I2:6", 2836)])
+    def test_bruhat_intervals(self, spec, count):
+        B = build_coxeter(spec).bruhat_poset()
+        cases = 0
+        for u in B.elements:
+            for v in B.elements:
+                if u != v and leq(B, u, v):
+                    I = interval(B, u, v)
+                    maps = automorphisms(I)
+                    for M in enumerate_special_matchings(I):
+                        for phi in maps:
+                            self._agree(I, M, phi)
+                            cases += 1
+        assert cases == count
+
+    @pytest.mark.parametrize("spec,count", [("A4", 32), ("D4", 96)])
+    def test_whole_orders(self, spec, count):
+        B = build_coxeter(spec).bruhat_poset()
+        maps = automorphisms(B)
+        cases = [self._agree(B, M, phi) for M in enumerate_special_matchings(B) for phi in maps]
+        assert len(cases) == count
+
+    def test_bounded_classes_to_6(self):
+        bounded = [P for n in range(7) for P in enumerate_posets(n) if is_bounded(P)]
+        cases = [self._agree(P, M, phi) for P in bounded
+                 for M in enumerate_special_matchings(P) for phi in automorphisms(P)]
+        assert len(bounded) == 26 and len(cases) == 32
+
+    def test_broken_partners(self):
+        """Every involution of the elements, fixed points allowed, under
+        every automorphism of each bounded class with n <= 6, labelled as
+        enumerated and top down: the same result or the same error, and
+        each of the four errors is met."""
+        errors = set()
+        cases = 0
+        for n in range(7):
+            for Q in enumerate_posets(n):
+                if not is_bounded(Q):
+                    continue
+                for P in (Q, build_poset(Q.elements[::-1], Q.covers)):
+                    maps = automorphisms(P)
+                    for partner in _involutions(n):
+                        for phi in maps:
+                            members = zircons.zircon._conjugates(partner, phi)
+                            got = _outcome(zircons.zircon._fixed_point_matching, P, members, phi)
+                            assert got == _outcome(family_fixed_point_matching, P, partner, phi)
+                            if isinstance(got, tuple):
+                                errors.add(next(k for k in _ERROR_KINDS if k in got[1]))
+                            cases += 1
+        assert cases == 9666 and errors == set(_ERROR_KINDS)
+
+
 _MODULES = ("posets", "matchings", "zircon", "coxeter", "sweep", "cli")
 
 
@@ -424,9 +526,10 @@ def _count_calls(monkeypatch, module, name):
 @pytest.fixture()
 def check_calls(monkeypatch):
     """Sizes of the posets that the special check (``_failing_covers``) and
-    the matching check (``_partner``) are run on."""
+    the matching check (``_is_matching``, index form) are run on. A label
+    dict reaches the matching check through ``_partner``."""
     return {"special": _count_calls(monkeypatch, "matchings", "_failing_covers"),
-            "matching": _count_calls(monkeypatch, "matchings", "_partner")}
+            "matching": _count_calls(monkeypatch, "matchings", "_is_matching")}
 
 
 @pytest.fixture()
@@ -464,6 +567,14 @@ class TestChecksRunOnce:
         fixed = len(phi.fixed_points())
         assert check_calls == {"special": [8, fixed], "matching": [8, fixed]}
         assert len(got) == fixed
+
+    def test_fixed_point_matching_builds_no_family(self, monkeypatch, cube):
+        built = []
+        monkeypatch.setattr("zircons.zircon.MatchingFamily", lambda **fields: built.append(fields))
+        toggle_bit_0 = {str(m): str(m ^ 1) for m in range(8)}
+        for phi in automorphisms(cube):
+            fixed_point_matching(cube, toggle_bit_0, phi)
+        assert built == []
 
     def test_descent_matching_checks_once(self, check_calls, a3):
         M = descent_matching(a3, a3.longest_element(), "s2", "left")
