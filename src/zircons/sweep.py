@@ -6,7 +6,7 @@ the fixed-point construction on every (matching, automorphism) pair,
 the lifting property, zircon preservation under fixed points, agreement
 of the two zircon definitions, the Mobius sphericity proxy on zircons,
 and the proof-step invariants (unique component extrema, extremal fixed
-points, greedy-descent endpoint independence under shuffled orders).
+points, and the extrema as the only sinks of greedy descent).
 
 Reports are deterministic: records are sorted, and the JSON encoding is
 byte-stable apart from the wall-clock duration field.
@@ -15,10 +15,8 @@ byte-stable apart from the wall-clock duration field.
 from __future__ import annotations
 
 import os
-import random
 import time
 import traceback
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -35,7 +33,6 @@ from .posets import Poset, _sphericity_witness, automorphisms, is_bounded, poset
 from .zircon import (
     ConstructionError,
     ExtremaError,
-    _descend,
     _extrema,
     _fixed_point_matching,
     _fixed_subposet,
@@ -43,9 +40,7 @@ from .zircon import (
     is_zircon,
 )
 
-__all__ = ["SweepReport", "ManifestError", "run_sweep", "validate_manifest", "GREEDY_SHUFFLES"]
-
-GREEDY_SHUFFLES = 20
+__all__ = ["SweepReport", "ManifestError", "run_sweep", "validate_manifest"]
 
 
 class ManifestError(ValueError):
@@ -96,29 +91,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_MODE_KEYS = {"exhaustive": {"mode", "max_n"}, "random": {"mode", "n", "seeds", "density"}}
+
+
 def validate_manifest(manifest: dict) -> dict:
-    """Normalize and validate a sweep manifest."""
+    """Normalize and validate a sweep manifest; reject keys the mode does not read."""
     if not isinstance(manifest, dict) or "mode" not in manifest:
         raise ManifestError('manifest must be an object with a "mode"')
     mode = manifest["mode"]
+    if not isinstance(mode, str) or mode not in _MODE_KEYS:
+        raise ManifestError(f"unknown sweep mode {mode!r}")
+    unknown = [key for key in manifest if key not in _MODE_KEYS[mode]]
+    if unknown:
+        raise ManifestError(f"{mode} mode does not read {', '.join(map(repr, unknown))}")
     if mode == "exhaustive":
         max_n = manifest.get("max_n")
         if not _is_int(max_n) or not 1 <= max_n <= corpus.MAX_EXHAUSTIVE_N:
             raise ManifestError(f"exhaustive mode needs max_n in 1..{corpus.MAX_EXHAUSTIVE_N}")
         return {"mode": "exhaustive", "max_n": max_n}
-    if mode == "random":
-        n = manifest.get("n")
-        seeds = manifest.get("seeds")
-        density = manifest.get("density", 0.3)
-        if not _is_int(n) or n < 1:
-            raise ManifestError("random mode needs a positive n")
-        if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
-            raise ManifestError("random mode needs a non-empty integer seed list")
-        if (isinstance(density, bool) or not isinstance(density, (int, float))
-                or not 0.0 <= density <= 1.0):
-            raise ManifestError("density must lie in [0, 1]")
-        return {"mode": "random", "n": n, "seeds": list(seeds), "density": float(density)}
-    raise ManifestError(f"unknown sweep mode {mode!r}")
+    n = manifest.get("n")
+    seeds = manifest.get("seeds")
+    density = manifest.get("density", 0.3)
+    if not _is_int(n) or n < 1:
+        raise ManifestError("random mode needs a positive n")
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
+        raise ManifestError("random mode needs a non-empty integer seed list")
+    if (isinstance(density, bool) or not isinstance(density, (int, float))
+            or not 0.0 <= density <= 1.0):
+        raise ManifestError("density must lie in [0, 1]")
+    return {"mode": "random", "n": n, "seeds": list(seeds), "density": float(density)}
 
 
 def _iter_payloads(config: dict, cap_matchings: int) -> Iterable[dict]:
@@ -190,23 +191,19 @@ def _proof_step_records(poset_id: str, P: Poset, family, m_idx: int, a_idx: int)
     records.append(_record(poset_id, "min_fixed_iff_max_fixed", bad is None,
                            matching=m_idx, automorphism=a_idx, witness=bad))
 
-    ok, witness = True, None
-    base = list(range(1, family.order + 1))
-    for qi, q in enumerate(labels):
-        lo, hi = extrema[family.component_of[qi]]
-        case_seed = zlib.crc32(f"{poset_id}|{m_idx}|{a_idx}|{q}".encode())
-        for shuffle_i in range(GREEDY_SHUFFLES):
-            rng = random.Random(case_seed + shuffle_i)
-            order = base[:]
-            rng.shuffle(order)
-            got_lo = _descend(P, family, qi, order, True)
-            got_hi = _descend(P, family, qi, order, False)
-            if got_lo != lo or got_hi != hi:
-                ok, witness = False, [q, labels[got_lo], labels[got_hi]]
-                break
-        if not ok:
+    # A greedy walk moves strictly down (up) in its component and stops at a
+    # sink, an element that no member moves down (up): every walk, in every
+    # order, ends at the minimum (maximum) iff that is the only such sink.
+    below, members = P._below, family.members
+    witness = None
+    for q, c in enumerate(family.component_of):
+        lo, hi = extrema[c]
+        down_sink = q != lo and not any(below[q] >> m[q] & 1 for m in members)
+        up_sink = q != hi and not any(below[m[q]] >> q & 1 for m in members)
+        if down_sink or up_sink:
+            witness = [labels[q], labels[q if down_sink else lo], labels[q if up_sink else hi]]
             break
-    records.append(_record(poset_id, "greedy_descend_endpoints", ok,
+    records.append(_record(poset_id, "greedy_descend_endpoints", witness is None,
                            matching=m_idx, automorphism=a_idx, witness=witness))
     return records
 

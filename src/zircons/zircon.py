@@ -260,19 +260,6 @@ def component_extrema(P: Poset, C) -> tuple[str, str]:
     return P.elements[lo], P.elements[hi]
 
 
-def _descend(P: Poset, F: MatchingFamily, i: int, ks: Sequence[int], down: bool) -> int:
-    """``greedy_descend`` from element index i, in index form."""
-    below = P._below
-    while True:
-        for k in ks:
-            image = F.members[k - 1][i]
-            if (below[i] >> image if down else below[image] >> i) & 1:
-                i = image
-                break
-        else:  # no matching moves i
-            return i
-
-
 def greedy_descend(
     P: Poset,
     F: MatchingFamily,
@@ -280,9 +267,11 @@ def greedy_descend(
     direction: str = "down",
     priority: Optional[Sequence[int]] = None,
 ) -> str:
-    """Repeatedly apply any family matching that moves strictly down (or
-    up) until none does; lands on the component minimum (maximum)
-    regardless of the order the matchings are tried in.
+    """Repeatedly apply the first family matching, in ``priority`` order,
+    that moves strictly down (or up), until none does. Each step stays in
+    q's component, so the walk ends at a sink, which no member moves down
+    (up). In an orbit component the minimum (maximum) is the only sink, so
+    the walk lands there in every order; the sweep tests this on each case.
 
     ``priority`` is a sequence of 1-based member indices to try in order;
     defaults to 1..N.
@@ -292,7 +281,15 @@ def greedy_descend(
     ks = list(priority) if priority is not None else list(range(1, F.order + 1))
     if sorted(ks) != list(range(1, F.order + 1)):
         raise ValueError("priority must be a permutation of 1..N")
-    return P.elements[_descend(P, F, P.index(q), ks, direction == "down")]
+    below, down, i = P._below, direction == "down", P.index(q)
+    while True:
+        for k in ks:
+            image = F.members[k - 1][i]
+            if (below[i] >> image if down else below[image] >> i) & 1:
+                i = image
+                break
+        else:  # no matching moves i
+            return P.elements[i]
 
 
 def fixed_point_subposet(P: Poset, phi) -> Poset:

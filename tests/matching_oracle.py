@@ -15,11 +15,27 @@ one search per principal ideal below a non-minimal element.
 library used before it walked only the components of fixed points: it
 builds every component of the matching family, takes ``_extrema`` once per
 fixed point and checks the result with the label-level ``is_special``.
+
+``shuffled_greedy_endpoints`` is the sweep's ``greedy_descend_endpoints``
+check as the library ran it before the sink test: it samples 20 seeded
+orders of the members per element and walks down and up in each by the
+public ``greedy_descend``.
 """
+
+import random
+import zlib
 
 from zircons.matchings import MatchingError, SearchLimitError, is_special
 from zircons.posets import Poset, PosetMap, UnknownElementError, _bits
-from zircons.zircon import ConstructionError, _extrema, fixed_point_subposet
+from zircons.zircon import (
+    ConstructionError,
+    MatchingFamily,
+    _extrema,
+    fixed_point_subposet,
+    greedy_descend,
+)
+
+GREEDY_SHUFFLES = 20
 
 
 def recursive_special_partners(P: Poset, members: int, limit=None):
@@ -127,3 +143,26 @@ def family_fixed_point_matching(P: Poset, partner, phi: PosetMap) -> dict[str, s
     if not verdict:
         raise ConstructionError(f"induced matching is not special at cover {verdict.witness}")
     return result
+
+
+def shuffled_greedy_endpoints(poset_id: str, P: Poset, family: MatchingFamily,
+                              m_idx: int, a_idx: int):
+    """``(ok, witness)`` of greedy descent from every element, in
+    ``GREEDY_SHUFFLES`` shuffled member orders seeded by the case, against
+    the extrema of its component; the witness of the first failing walk
+    is ``[q, got_lo, got_hi]``."""
+    labels = P.elements
+    extrema = [_extrema(P, mask) for mask in family.components]
+    base = list(range(1, family.order + 1))
+    for qi, q in enumerate(labels):
+        lo, hi = extrema[family.component_of[qi]]
+        case_seed = zlib.crc32(f"{poset_id}|{m_idx}|{a_idx}|{q}".encode())
+        for shuffle_i in range(GREEDY_SHUFFLES):
+            rng = random.Random(case_seed + shuffle_i)
+            order = base[:]
+            rng.shuffle(order)
+            got_lo = greedy_descend(P, family, q, "down", order)
+            got_hi = greedy_descend(P, family, q, "up", order)
+            if got_lo != labels[lo] or got_hi != labels[hi]:
+                return False, [q, got_lo, got_hi]
+    return True, None

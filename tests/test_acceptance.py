@@ -231,7 +231,7 @@ def test_criterion_09_proof_step_properties(exhaustive_sweep):
         9,
         ok,
         "unique component extrema, extremal fixed points, min-fixed iff max-fixed, "
-        f"and shuffle-independent greedy descent across the sweep ({counts})",
+        f"and greedy descent to the component extrema in every order across the sweep ({counts})",
     )
 
 

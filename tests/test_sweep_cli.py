@@ -71,6 +71,10 @@ class TestSweep:
             {"mode": "random", "n": True, "seeds": [1]},
             {"mode": "random", "n": 8, "seeds": [True]},
             {"mode": "random", "n": 8, "seeds": [1], "density": True},
+            # a key the mode does not read, another mode's or none's
+            {"mode": "exhaustive", "max_n": 3, "density": 0.5},
+            {"mode": "exhaustive", "max_n": 3, "bogus": 1},
+            {"mode": "random", "n": 8, "seeds": [1], "max_n": 3},
         ):
             with pytest.raises(ManifestError):
                 validate_manifest(bad)
@@ -287,6 +291,8 @@ class TestSweepCommand:
     def test_bad_manifest(self, files):
         tmp, write = files
         assert main(["sweep", write("man.json", {"mode": "bogus"})]) == 2
+        assert main(["sweep", write("man.json", {"mode": "exhaustive", "max_n": 3,
+                                                 "density": 0.5, "bogus": 1})]) == 2
 
     @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-4"),
                                             ("--cap-matchings", "-1")])

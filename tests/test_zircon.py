@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,7 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from matching_oracle import family_fixed_point_matching, per_ideal_is_zircon
+from matching_oracle import (
+    family_fixed_point_matching,
+    per_ideal_is_zircon,
+    shuffled_greedy_endpoints,
+)
 
 import zircons.matchings
 import zircons.zircon
@@ -43,9 +48,10 @@ from zircons import (
     twisted_map,
 )
 from zircons.cli import main
-from zircons.matchings import _partner
-from zircons.posets import Poset, PosetMap, automorphisms, is_bounded
-from zircons.sweep import sweep_case
+from zircons.matchings import DEFAULT_MATCHING_LIMIT, _partner, _special_partners
+from zircons.posets import Poset, PosetMap, automorphisms, is_bounded, poset_from_dict
+from zircons.sweep import _iter_payloads, _proof_step_records, sweep_case
+from zircons.zircon import _matching_family
 
 
 def members(P, F):
@@ -800,3 +806,89 @@ def test_proof_step_witness_ignores_the_hash_seed(cube):
     witnesses = [json.loads(out) for out in outputs]
     assert len(witnesses) == 1 and set(witnesses[0]) == {"0"}
     assert len(witnesses[0]) == len(enumerate_special_matchings(cube))
+
+
+def _interval_payloads(spec):
+    """``sweep_case`` payloads of every Bruhat interval [u, v], u < v."""
+    B = build_coxeter(spec).bruhat_poset()
+    return [{"poset_id": f"{u}<{v}", "poset": poset_to_dict(interval(B, u, v)),
+             "mode": "exhaustive", "cap": DEFAULT_MATCHING_LIMIT}
+            for u in B.elements for v in B.elements if u != v and leq(B, u, v)]
+
+
+def _greedy_records(payloads):
+    """Each ``greedy_descend_endpoints`` record of ``sweep_case`` with the
+    poset and the matching family it was made from."""
+    for payload in payloads:
+        records = [r for r in sweep_case(payload) if r["check"] == "greedy_descend_endpoints"]
+        if not records:
+            continue
+        P = poset_from_dict(payload["poset"])
+        maps = automorphisms(P)
+        specials = list(_special_partners(P, (1 << len(P)) - 1, payload["cap"]))
+        for rec in records:
+            yield P, _matching_family(specials[rec["matching"]], maps[rec["automorphism"]]), rec
+
+
+def _greedy_record(P, F):
+    records = _proof_step_records("p", P, F, 0, 0)
+    return next(r for r in records if r["check"] == "greedy_descend_endpoints")
+
+
+def _unmatched_by(P, F, moved, onto):
+    """F with the member that pairs ``moved`` with ``onto`` edited to leave
+    both unmatched; the components stay as they were."""
+    i, j = P.index(moved), P.index(onto)
+    k = next(k for k, member in enumerate(F.members) if member[i] == j)
+    member = list(F.members[k])
+    member[i], member[j] = i, j
+    return dataclasses.replace(F, members=F.members[:k] + (tuple(member),) + F.members[k + 1:])
+
+
+class TestGreedyDescendRecord:
+    """The sweep's ``greedy_descend_endpoints`` record tests that each
+    component's extrema are its only sinks. The shuffled walks it replaced
+    are the oracle."""
+
+    @pytest.mark.parametrize("source,count", [("sweep", 32), ("A3", 1518)])
+    def test_agrees_with_shuffled_walks(self, source, count):
+        if source == "sweep":
+            payloads = _iter_payloads({"mode": "exhaustive", "max_n": 6}, DEFAULT_MATCHING_LIMIT)
+        else:
+            payloads = _interval_payloads(source)
+        cases = 0
+        for P, F, rec in _greedy_records(payloads):
+            ok, witness = shuffled_greedy_endpoints(rec["poset"], P, F, rec["matching"],
+                                                    rec["automorphism"])
+            assert rec["ok"] == ok
+            if ok:
+                assert rec["witness"] == witness
+            cases += 1
+        assert cases == count
+
+    def test_a_down_sink_fails(self, hexagon, hexagon_flip, m_rmult_s1):
+        """Only e is below s1 in the one component. With the pair s1-e
+        undone, nothing moves s1 down, though s1 is not the bottom."""
+        F = _unmatched_by(hexagon, matching_family(hexagon, m_rmult_s1, hexagon_flip), "s1", "e")
+        rec = _greedy_record(hexagon, F)
+        assert not rec["ok"] and rec["witness"] == ["s1", "s1", "s1.s2.s1"]
+        assert not shuffled_greedy_endpoints("p", hexagon, F, 0, 0)[0]
+
+    def test_an_up_sink_fails(self, hexagon, hexagon_flip, m_rmult_s1):
+        """One member moves s2.s1 up, to the top. With that pair undone,
+        nothing moves s2.s1 up, though s2.s1 is not the top."""
+        F = matching_family(hexagon, m_rmult_s1, hexagon_flip)
+        F = _unmatched_by(hexagon, F, "s2.s1", "s1.s2.s1")
+        rec = _greedy_record(hexagon, F)
+        assert not rec["ok"] and rec["witness"] == ["s2.s1", "e", "s2.s1"]
+        assert not shuffled_greedy_endpoints("p", hexagon, F, 0, 0)[0]
+
+
+def test_theorem_on_the_b3_intervals():
+    """The fixed-point theorem and its proof steps on every Bruhat interval
+    of B3: 799 intervals, 9276 (matching, automorphism) cases."""
+    records = [r for payload in _interval_payloads("B3") for r in sweep_case(payload)]
+    checks = [r["check"] for r in records]
+    assert len({r["poset"] for r in records}) == 799
+    assert checks.count("fixed_point_special") == checks.count("greedy_descend_endpoints") == 9276
+    assert all(r["ok"] for r in records)
