@@ -47,7 +47,6 @@ from .posets import (
     PosetMap,
     _sphericity_witness,
     are_isomorphic,
-    induced_subposet,
     is_bounded,
     map_from_dict,
     mobius,
@@ -62,6 +61,7 @@ from .zircon import (
     ExtremaError,
     _fixed_point_report,
     _matching_family,
+    fixed_point_subposet,
     is_zircon,
 )
 
@@ -196,21 +196,21 @@ def _coxeter_zircon_check(W, args) -> int:
 
 def _coxeter_twisted(W, theta, args) -> int:
     tm = twisted_map(W, theta)
+    fixed = fixed_point_subposet(W.bruhat_poset(), tm)
     labels = [el.label for el in twisted_involutions(W, theta)]
-    induced = induced_subposet(W.bruhat_poset(), labels)
-    equal = labels == list(tm.fixed_points())  # both in element order
-    zircon = is_zircon(induced)
-    witness = _sphericity_witness(induced)
+    equal = labels == list(fixed.elements)  # both in element order
+    zircon = is_zircon(fixed)
+    witness = _sphericity_witness(fixed)
     sphericity = witness is None
     report = {
         "type": W.type_spec,
         "theta": theta.generator_map,
-        "cardinality": len(induced),
+        "cardinality": len(fixed),
         "equals_fixed_point_subposet": equal,
         "zircon": zircon,
         "sphericity": sphericity,
         "witness": witness,
-        "elements": list(induced.elements),
+        "elements": list(fixed.elements),
     }
     _emit_json(report, args.output)
     return EXIT_OK if equal and zircon and sphericity else EXIT_VIOLATION

@@ -21,7 +21,6 @@ from .posets import (
     _bits,
     _order,
     _poset,
-    build_poset,
     leq,
 )
 
@@ -213,9 +212,6 @@ def random_poset(n: int, seed: int, density: float = 0.3) -> Poset:
     if not 0.0 <= density <= 1.0:
         raise PosetError("density must lie in [0, 1]")
     rng = random.Random(seed)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                pairs.append((str(i), str(j)))
-    return build_poset([str(i) for i in range(n)], pairs, mode="relations")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    ids = tuple(str(i) for i in range(n))
+    return _poset(ids, *_order(ids, pairs))

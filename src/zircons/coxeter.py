@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .matchings import MatchingError, _failing_covers, is_special
-from .posets import Poset, PosetMap, _bits, _from_covers, _induced, principal_ideal
+from .posets import (Poset, PosetMap, _bits, _check_automorphism, _from_covers, _induced, _map,
+                     principal_ideal)
 
 __all__ = [
     "CoxeterError",
@@ -462,12 +463,10 @@ def twisted_map(W: CoxeterSystem, theta: DiagramAutomorphism) -> PosetMap:
         )
     B = W.bruhat_poset()  # indexed like W.elements
     perm = [theta._perm[j] for j in W._inverse]
-    labels = B.elements
-    # the constructor verifies the order isomorphism
-    pm = PosetMap(B, {labels[i]: labels[j] for i, j in enumerate(perm)})
+    _check_automorphism(B, perm)
     if any(perm[j] != i for i, j in enumerate(perm)):
         raise CoxeterError("twisted map failed to be an involution; model bug")
-    return pm
+    return _map(B, perm)
 
 
 def twisted_involutions(W: CoxeterSystem, theta: DiagramAutomorphism) -> list[GroupElement]:

@@ -9,12 +9,12 @@ next to the cover adjacency ``_up``/``_down`` it is the closure of. The
 label views ``covers``, ``minimal_elements`` and ``maximal_elements``
 are derived from the adjacency on each access. Arbitrary-precision ints
 cannot wrap, so the order is exact at every size. An instance's order
-never changes after construction; the only state it gains is the
-signatures of the isomorphism search (a ``PosetMap``: its fixed-point
-subposet), which take no lock: sweeps run in worker processes and send
-plain dict payloads, so no instance is shared between threads. Only
-finite posets are representable, hence local-finiteness hypotheses hold
-vacuously throughout.
+never changes after construction: a ``Poset`` gains no state; a
+``PosetMap`` gains its fixed-point subposet, with no lock: sweeps run in
+worker processes and send plain dict payloads, so no instance is shared
+between threads. Only this module writes that state or checks a map; the
+other modules hand it index forms. Only finite posets are representable,
+hence local-finiteness hypotheses hold vacuously throughout.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class Poset:
     covers mode; the subposet functions build from a parent's order.
     """
 
-    __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo", "_sigs")
+    __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo")
 
     def __init__(self, elements: Iterable, covers: Iterable, *, _relations: bool = False):
         ids = tuple(str(e) for e in elements)
@@ -183,7 +183,6 @@ class Poset:
         # sorting by |strict downset| is a linear extension
         self._topo = tuple(sorted(range(n), key=lambda i: (below[i].bit_count(), i)))
         self._rank = self._compute_rank()
-        self._sigs: Optional[tuple] = None  # filled by _signatures()
 
     def _compute_rank(self) -> Optional[tuple[int, ...]]:
         n = len(self.elements)
@@ -275,11 +274,7 @@ class PosetMap:
             if v not in source._index:
                 raise UnknownElementError(f"image {v!r} is not an element")
             perm.append(source._index[v])
-        if len(set(perm)) != len(perm):
-            raise NotAutomorphismError("map is not a bijection")
-        up = source._up
-        if any(perm[j] not in up[perm[i]] for i in range(len(perm)) for j in up[i]):
-            raise NotAutomorphismError("map does not preserve the order both ways")
+        _check_automorphism(source, perm)
         self._perm = tuple(perm)
         self._fixed: Optional[Poset] = None
 
@@ -378,11 +373,30 @@ def _from_covers(ids: tuple[str, ...], pairs: Iterable[tuple[int, int]]) -> Pose
     return P
 
 
+def _check_automorphism(P: Poset, perm: Sequence[int]) -> None:
+    """Raise ``NotAutomorphismError`` unless the index map ``perm``, total
+    on P, is a bijection carrying the cover set onto itself."""
+    if len(set(perm)) != len(perm):
+        raise NotAutomorphismError("map is not a bijection")
+    up = P._up
+    if any(perm[j] not in up[perm[i]] for i in range(len(perm)) for j in up[i]):
+        raise NotAutomorphismError("map does not preserve the order both ways")
+
+
 def _map(P: Poset, perm: Sequence[int]) -> PosetMap:
     """An automorphism from its index permutation, trusted as given."""
     f = PosetMap.__new__(PosetMap)
     f.source, f._perm, f._fixed = P, tuple(perm), None
     return f
+
+
+def _fixed_subposet(P: Poset, phi: PosetMap) -> Poset:
+    """The fixed-point subposet of phi, an automorphism of P, built once
+    per map; P itself when phi is the identity."""
+    if phi._fixed is None:
+        fixed = [i for i, j in enumerate(phi._perm) if i == j]
+        phi._fixed = P if len(fixed) == len(P) else _induced(P, fixed)
+    return phi._fixed
 
 
 def leq(P: Poset, x, y) -> bool:
@@ -489,21 +503,18 @@ def is_bounded(P: Poset) -> bool:
 def _signatures(P: Poset) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...], list[int]]:
     """Each element's signature (down-degree, up-degree, rank or -1,
     |strict downset|, |strict upset|), the sorted tuple of them, an
-    isomorphism invariant of P, and the strict upset rows; computed once
-    per poset."""
-    if P._sigs is None:
-        n = len(P)
-        rank = P._rank if P._rank is not None else tuple([-1] * n)
-        above = [0] * n  # strict upsets, by the closure's dual over the covers
-        for i in reversed(P._topo):
-            for j in P._up[i]:
-                above[i] |= above[j] | 1 << j
-        sigs = [
-            (len(P._down[i]), len(P._up[i]), rank[i], P._below[i].bit_count(), above[i].bit_count())
-            for i in range(n)
-        ]
-        P._sigs = (sigs, tuple(sorted(sigs)), above)
-    return P._sigs
+    isomorphism invariant of P, and the strict upset rows."""
+    n = len(P)
+    rank = P._rank if P._rank is not None else tuple([-1] * n)
+    above = [0] * n  # strict upsets, by the closure's dual over the covers
+    for i in reversed(P._topo):
+        for j in P._up[i]:
+            above[i] |= above[j] | 1 << j
+    sigs = [
+        (len(P._down[i]), len(P._up[i]), rank[i], P._below[i].bit_count(), above[i].bit_count())
+        for i in range(n)
+    ]
+    return sigs, tuple(sorted(sigs)), above
 
 
 def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
@@ -524,7 +535,7 @@ def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
     if n != len(Q):
         return []
     sig_p, key_p, above_p = _signatures(P)
-    sig_q, key_q, above_q = _signatures(Q)
+    sig_q, key_q, above_q = (sig_p, key_p, above_p) if Q is P else _signatures(Q)
     if key_p != key_q:  # this also compares the cover counts and rankedness
         return []
     if not n:
@@ -593,8 +604,6 @@ def is_automorphism(P: Poset, f: Mapping) -> bool:
     for k, v in mapping.items():
         if k not in P._index or v not in P._index:
             raise UnknownElementError("map references unknown ids")
-    if set(mapping) != set(P.elements):
-        return False
     try:
         PosetMap(P, mapping)
     except NotAutomorphismError:

@@ -29,13 +29,13 @@ from .matchings import (
     _special_partners,
     matching_pairs,
 )
-from .posets import Poset, _sphericity_witness, automorphisms, is_bounded, poset_from_dict, poset_to_dict
+from .posets import (Poset, _fixed_subposet, _sphericity_witness, automorphisms, is_bounded,
+                     poset_from_dict, poset_to_dict)
 from .zircon import (
     ConstructionError,
     ExtremaError,
     _extrema,
     _fixed_point_matching,
-    _fixed_subposet,
     _matching_family,
     is_zircon,
 )

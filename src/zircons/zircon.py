@@ -47,7 +47,7 @@ from .posets import (
     PosetMap,
     NotAutomorphismError,
     _bits,
-    _induced,
+    _fixed_subposet,
     is_bounded,
 )
 
@@ -228,6 +228,7 @@ def _matching_family(partner: Sequence[int], phi: PosetMap) -> MatchingFamily:
 
 def orbit_component(P: Poset, F: MatchingFamily, p) -> frozenset[str]:
     """Connected component of p in the union of all family edges."""
+    _as_poset_map(P, F.automorphism)
     return frozenset(P.elements[i] for i in _bits(F.components[F.component_of[P.index(p)]]))
 
 
@@ -276,6 +277,7 @@ def greedy_descend(
     ``priority`` is a sequence of 1-based member indices to try in order;
     defaults to 1..N.
     """
+    _as_poset_map(P, F.automorphism)
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     ks = list(priority) if priority is not None else list(range(1, F.order + 1))
@@ -295,15 +297,6 @@ def greedy_descend(
 def fixed_point_subposet(P: Poset, phi) -> Poset:
     """Induced subposet on the fixed points of an automorphism."""
     return _fixed_subposet(P, _as_poset_map(P, phi))
-
-
-def _fixed_subposet(P: Poset, phi: PosetMap) -> Poset:
-    """The fixed-point subposet of phi, an automorphism of P, built once
-    per map; P itself when phi is the identity."""
-    if phi._fixed is None:
-        fixed = [i for i, j in enumerate(phi._perm) if i == j]
-        phi._fixed = P if len(fixed) == len(P) else _induced(P, fixed)
-    return phi._fixed
 
 
 def _require_bounded(P: Poset) -> None:

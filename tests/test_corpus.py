@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from iso_oracle import (
@@ -157,6 +159,17 @@ class TestRandomPosets:
                 ["6", "7"],
             ],
         }
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_against_relations_mode(self, n):
+        """The index-pair route gives the poset that ``build_poset`` makes
+        from the same draws as label pairs, in relations mode."""
+        for seed in range(500):
+            rng = random.Random(seed)
+            pairs = [(str(i), str(j)) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+            expected = build_poset([str(i) for i in range(n)], pairs, mode="relations")
+            got = random_poset(n, seed, 0.3)
+            assert got == expected and got._below == expected._below
 
     def test_density_validation(self):
         with pytest.raises(PosetError):

@@ -4,6 +4,7 @@ import pytest
 
 from zircons import (
     CoxeterError,
+    NotAutomorphismError,
     are_isomorphic,
     build_coxeter,
     build_poset,
@@ -512,6 +513,30 @@ class TestTwisted:
         theta = theta_from_spec(W, theta)
         labels = [el.label for el in twisted_involutions(W, theta)]
         assert labels == list(twisted_map(W, theta).fixed_points())
+
+    @pytest.mark.parametrize(
+        "sources,message",
+        [
+            ((2, 1), "map does not preserve the order both ways"),  # the two images swapped
+            ((3, 3), "map is not a bijection"),  # both sent to the image of element 3
+        ],
+    )
+    def test_a_corrupted_diagram_automorphism_is_rejected(self, monkeypatch, capsys, a3, sources, message):
+        """Entries 1 and 2 of theta's index table, edited after construction
+        to the images of ``sources``: the twisted map fails its automorphism
+        check, and the CLI exits 2."""
+
+        def corrupted(W, spec):
+            theta = theta_from_spec(W, spec)
+            theta._perm[1], theta._perm[2] = [theta._perm[k] for k in sources]
+            return theta
+
+        with pytest.raises(NotAutomorphismError) as excinfo:
+            twisted_map(a3, corrupted(a3, "flip"))
+        assert str(excinfo.value) == message
+        monkeypatch.setattr("zircons.cli.theta_from_spec", corrupted)
+        assert main(["coxeter", "A3", "twisted", "flip"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_generators_are_twisted_involutions(self, a3):
         labels = {el.label for el in twisted_involutions(a3, theta_from_spec(a3, "id"))}

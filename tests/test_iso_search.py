@@ -14,11 +14,15 @@ from zircons import (
     build_coxeter,
     build_poset,
     enumerate_posets,
+    fixed_point_subposet,
     interval,
+    is_zircon,
     leq,
+    poset_from_dict,
+    poset_to_dict,
 )
 from zircons.corpus import _poset_from_masks
-from zircons.posets import _from_covers, _signatures
+from zircons.posets import Poset, PosetMap, _from_covers, _signatures, _sphericity_witness
 
 
 def _perms(P):
@@ -101,13 +105,29 @@ class TestScale:
         assert are_isomorphic(chain, copy) == {str(i): ids[i] for i in range(n)}
 
 
-class TestComputedOnce:
-    def test_signatures_are_kept_on_the_poset(self, hexagon):
-        first = _signatures(hexagon)
-        automorphisms(hexagon)
-        are_isomorphic(hexagon, hexagon)
-        assert _signatures(hexagon) is first
-        assert first[0] == signatures(hexagon) and first[1] == tuple(sorted(first[0]))
+class TestNoMemo:
+    def test_a_poset_gains_no_state(self, hexagon):
+        """The searches, the zircon and sphericity checks and the fixed
+        points leave every slot of a poset as it was; a map gains only its
+        fixed-point subposet."""
+        P = poset_from_dict(poset_to_dict(hexagon))  # a fresh instance
+        slots = {name: getattr(P, name) for name in Poset.__slots__}
+        maps = automorphisms(P)
+        map_slots = [(phi.source, phi._perm, phi._fixed) for phi in maps]
+        are_isomorphic(P, P)
+        is_zircon(P)
+        _sphericity_witness(P)
+        fixed = [fixed_point_subposet(P, phi) for phi in maps]
+        assert not hasattr(P, "__dict__")
+        assert all(getattr(P, name) is value for name, value in slots.items())
+        assert PosetMap.__slots__ == ("source", "_perm", "_fixed")
+        for phi, (source, perm, before), sub in zip(maps, map_slots, fixed):
+            assert phi.source is source and phi._perm is perm
+            assert before is None and phi._fixed is sub
+
+    def test_signatures_match_the_oracle(self, hexagon):
+        sigs, key, _ = _signatures(hexagon)
+        assert sigs == signatures(hexagon) and key == tuple(sorted(sigs))
 
 
 class TestIndexCore:

@@ -10,7 +10,9 @@ from iso_oracle import labelled_posets
 from zircons import (
     CycleError,
     DuplicateElementError,
+    NotAutomorphismError,
     NotComparableError,
+    PosetError,
     RedundantCoverError,
     UnknownElementError,
     are_isomorphic,
@@ -380,6 +382,22 @@ class TestAutomorphisms:
     def test_is_automorphism_unknown_ids(self, diamond):
         with pytest.raises(UnknownElementError):
             is_automorphism(diamond, {"0": "9", "1": "1", "2": "2", "3": "3"})
+
+    @pytest.mark.parametrize(
+        "image,error,message",
+        [
+            ({"0": "0", "1": "1", "2": "2"}, NotAutomorphismError, "map is not total on the element set"),
+            ({"0": "9", "1": "1", "2": "2", "3": "3"}, UnknownElementError, "image '9' is not an element"),
+            ({"0": "0", "1": "1", "2": "1", "3": "3"}, NotAutomorphismError, "map is not a bijection"),
+            ({"0": "3", "1": "1", "2": "2", "3": "0"}, NotAutomorphismError,
+             "map does not preserve the order both ways"),
+        ],
+    )
+    def test_poset_map_rejects_each_failure(self, diamond, image, error, message):
+        """Each failure mode of the constructor, with its type and message."""
+        with pytest.raises(PosetError) as excinfo:
+            PosetMap(diamond, image)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 class TestInducedSubposet:

@@ -20,6 +20,7 @@ from zircons import (
     DiagramAutomorphism,
     ExtremaError,
     MatchingError,
+    NotAutomorphismError,
     build_coxeter,
     build_poset,
     component_extrema,
@@ -225,6 +226,33 @@ class TestGreedyDescend:
         F = matching_family(diamond, {"0": "1", "1": "0", "2": "3", "3": "2"}, diamond_swap)
         with pytest.raises(ValueError):
             greedy_descend(diamond, F, "1", "down", priority=[1, 1])
+
+
+class TestFamilyOwnership:
+    """The family helpers read a family's index tuples against P, so a
+    family built on another poset is rejected, whatever its size."""
+
+    @pytest.fixture()
+    def families(self, diamond, diamond_swap, hexagon, hexagon_flip, m_rmult_s1):
+        return {
+            "diamond": matching_family(diamond, {"0": "1", "1": "0", "2": "3", "3": "2"}, diamond_swap),
+            "hexagon": matching_family(hexagon, m_rmult_s1, hexagon_flip),
+        }
+
+    @pytest.mark.parametrize("helper", [orbit_component, greedy_descend])
+    @pytest.mark.parametrize(
+        "owner,target",
+        [
+            ("diamond", "chain"),  # the same size
+            ("hexagon", "chain"),  # a larger poset
+            ("diamond", "hexagon"),  # a smaller one
+        ],
+    )
+    def test_rejects_a_family_of_another_poset(self, families, hexagon, helper, owner, target):
+        chain = build_poset("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+        P = hexagon if target == "hexagon" else chain
+        with pytest.raises(NotAutomorphismError, match="map belongs to a different poset"):
+            helper(P, families[owner], P.elements[-1])
 
 
 class TestFixedPoints:
@@ -540,17 +568,9 @@ def check_calls(monkeypatch):
 
 @pytest.fixture()
 def validated_maps(monkeypatch):
-    """Sizes of the posets that a ``PosetMap`` is validated on: every call
-    of the constructor validates."""
-    validated = []
-    real_init = PosetMap.__init__
-
-    def counting(self, source, image):
-        validated.append(len(source))
-        real_init(self, source, image)
-
-    monkeypatch.setattr(PosetMap, "__init__", counting)
-    return validated
+    """Sizes of the posets that a map is validated on: the ``PosetMap``
+    constructor and ``twisted_map`` both validate by ``_check_automorphism``."""
+    return _count_calls(monkeypatch, "posets", "_check_automorphism")
 
 
 class TestChecksRunOnce:
@@ -604,7 +624,7 @@ class TestChecksRunOnce:
         assert 3 in built  # the rotations are among the automorphisms
 
     def test_sweep_builds_one_fixed_subposet_per_automorphism(self, monkeypatch, cube):
-        built = _count_calls(monkeypatch, "zircon", "_induced")
+        built = _count_calls(monkeypatch, "posets", "_induced")
         payload = {"poset_id": "cube", "poset": poset_to_dict(cube),
                    "mode": "exhaustive", "cap": 100}
         cases = [r for r in sweep_case(payload) if r["check"] == "fixed_point_special"]
@@ -614,7 +634,7 @@ class TestChecksRunOnce:
         assert built == [len(cube)] * (len(automorphisms(cube)) - 1)
 
     def test_fixed_subposet_is_built_once_per_map(self, monkeypatch, cube):
-        built = _count_calls(monkeypatch, "zircon", "_induced")
+        built = _count_calls(monkeypatch, "posets", "_induced")
         toggle_bit_0 = {str(m): str(m ^ 1) for m in range(8)}
         maps = automorphisms(cube)
         for phi in maps:
@@ -657,7 +677,7 @@ class TestChecksRunOnce:
         assert check_calls == {"special": [24, fixed], "matching": [24, fixed]}
 
     def test_coxeter_twisted_builds_the_map_once(self, validated_maps, monkeypatch, tmp_path):
-        induced = _count_calls(monkeypatch, "posets", "induced_subposet")
+        induced = _count_calls(monkeypatch, "posets", "_induced")
         rc = main(["coxeter", "B4", "twisted", "id", "--output", str(tmp_path / "t.json")])
         report = json.loads((tmp_path / "t.json").read_text())
         assert rc == 0 and report["equals_fixed_point_subposet"]
