@@ -42,6 +42,7 @@ from .matchings import (
     MatchingError,
     SearchLimitError,
     Verdict,
+    SpecialMatching,
     DEFAULT_MATCHING_LIMIT,
     is_matching,
     is_special,

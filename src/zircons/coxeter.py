@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .matchings import MatchingError, _failing_covers, is_special
+from .matchings import SpecialMatching, _failing_covers, _is_matching, _special_matching
 from .posets import (Poset, PosetMap, _bits, _check_automorphism, _from_covers, _induced, _map,
                      principal_ideal)
 
@@ -295,13 +295,15 @@ def descent_matching(
     s,
     side: str = "right",
     ideal: Optional[Poset] = None,
-) -> dict[str, str]:
+) -> SpecialMatching:
     """Multiplication by a descent, restricted to the Bruhat ideal of w.
 
-    Guaranteed to be a special matching on the ideal. The result is
-    checked once, by ``is_special`` (which also checks that it is a
-    matching); a failure raises ``CoxeterError``, since it would expose a
-    model bug.
+    Guaranteed to be a special matching on the ideal. Its index form is
+    read from the generator table and checked once, by ``_is_matching`` and
+    ``_failing_covers``; a failure raises ``CoxeterError``, since it would
+    expose a model bug. The result is a read-only ``SpecialMatching`` of
+    the ideal, so the constructions that take it on that ideal do not
+    check it again.
     """
     if side not in ("right", "left"):
         raise CoxeterError(f"side must be 'right' or 'left', got {side!r}")
@@ -313,21 +315,20 @@ def descent_matching(
     B = W.bruhat_poset()  # indexed like W.elements
     if ideal is None:
         ideal = principal_ideal(B, label)
-    mapping: dict[str, str] = {}
+    partner = []
     for x in ideal.elements:
         y = B.elements[images[B._index[x]]]
         if y not in ideal:
             raise CoxeterError(
                 f"descent image {y!r} leaves the ideal of {label!r}; model bug"
             )
-        mapping[x] = y
-    try:
-        verdict = is_special(ideal, mapping)
-    except MatchingError:
-        raise CoxeterError("descent map is not a matching; model bug") from None
-    if not verdict:
-        raise CoxeterError(f"descent matching not special at {verdict.witness}; model bug")
-    return mapping
+        partner.append(ideal._index[y])
+    if not _is_matching(ideal, partner):
+        raise CoxeterError("descent map is not a matching; model bug")
+    for p, q in _failing_covers(ideal, partner):  # the first one, if any
+        witness = (ideal.elements[p], ideal.elements[q])
+        raise CoxeterError(f"descent matching not special at {witness}; model bug")
+    return _special_matching(ideal, tuple(partner))
 
 
 def _descent_failures(W: CoxeterSystem, k: int, side: str) -> tuple[int, dict[int, str]]:

@@ -7,6 +7,17 @@ it is guarded by a configurable cap; hitting the cap raises rather than
 silently truncating. Inside the library a matching is a ``partner``
 sequence, ``partner[i]`` the index matched to element i or -1; each public
 function takes and returns label dicts, converted once at its boundary.
+
+A special matching that the library finds or builds
+(``enumerate_special_matchings``, ``coxeter.descent_matching``) is returned
+as a ``SpecialMatching``: a read-only dict that also keeps the poset it was
+checked on and its index form. ``_special_input``, the one boundary that
+needs "M is special on P", takes that index form as it is when M is such a
+matching of this very poset object, since it was found by the search or
+checked when it was built and cannot have changed since. Any other mapping,
+a plain dict from a caller or a JSON file, a copy, or a ``SpecialMatching``
+of another poset, is parsed and checked in full. ``is_special`` always
+checks in full.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ __all__ = [
     "MatchingError",
     "SearchLimitError",
     "Verdict",
+    "SpecialMatching",
     "DEFAULT_MATCHING_LIMIT",
     "is_matching",
     "is_special",
@@ -52,6 +64,28 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class SpecialMatching(dict):
+    """A special matching built by the library, as a read-only label dict.
+
+    It compares, iterates and serializes as the plain dict of its pairs.
+    Every mutator raises ``TypeError``; ``dict(M)`` is a mutable copy.
+    ``copy``, ``deepcopy`` and ``pickle`` give a plain dict too, so a copy
+    is checked again wherever it is used. One made by hand keeps no source
+    poset and is checked like any dict.
+    """
+
+    __slots__ = ("_source", "_partner")
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a SpecialMatching is read-only; dict(M) is a mutable copy")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 def _partner(P: Poset, M: Mapping) -> Optional[list[int]]:
@@ -90,8 +124,25 @@ def _failing_covers(P: Poset, partner: Sequence[int]) -> Iterator[tuple[int, int
                 yield p, q
 
 
-def _labels(P: Poset, partner: Sequence[int]) -> dict[str, str]:
-    return {P.elements[i]: P.elements[j] for i, j in enumerate(partner)}
+def _special_matching(P: Poset, partner: Sequence[int]) -> SpecialMatching:
+    """The ``SpecialMatching`` of P with index form ``partner``, which the
+    caller has found by the search or checked to be special on P."""
+    labels = P.elements
+    M = SpecialMatching(zip(labels, [labels[j] for j in partner]))
+    M._source, M._partner = P, partner
+    return M
+
+
+def _special_input(P: Poset, M: Mapping, message: str) -> Sequence[int]:
+    """The index form of M, known to be a special matching of P: taken as
+    it is from a ``SpecialMatching`` of P itself, otherwise parsed and
+    checked once; ``MatchingError(message)`` if it is not special."""
+    if type(M) is SpecialMatching and getattr(M, "_source", None) is P:
+        return M._partner
+    partner = _partner(P, M)
+    if partner is None or next(_failing_covers(P, partner), None):
+        raise MatchingError(message)
+    return partner
 
 
 def is_matching(P: Poset, M: Mapping) -> bool:
@@ -186,12 +237,13 @@ def _special_partners(P: Poset, members: int, limit: Optional[int] = None) -> It
             return
 
 
-def enumerate_special_matchings(P: Poset, limit: int = DEFAULT_MATCHING_LIMIT) -> list[dict[str, str]]:
-    """All special matchings, in deterministic search order.
+def enumerate_special_matchings(P: Poset, limit: int = DEFAULT_MATCHING_LIMIT) -> list[SpecialMatching]:
+    """All special matchings, in deterministic search order, each a
+    read-only ``SpecialMatching`` of P.
 
     Raises SearchLimitError when more than ``limit`` matchings exist.
     """
-    return [_labels(P, partner) for partner in _special_partners(P, (1 << len(P)) - 1, limit)]
+    return [_special_matching(P, partner) for partner in _special_partners(P, (1 << len(P)) - 1, limit)]
 
 
 def has_special_matching(P: Poset) -> bool:
@@ -219,10 +271,7 @@ def verify_lifting(P: Poset, M: Mapping) -> Verdict:
     (ii) M(x) < x implies M(x) < M(y). This is a theorem for special
     matchings, so any returned witness indicates an implementation bug.
     """
-    partner = _partner(P, M)
-    if partner is None or next(_failing_covers(P, partner), None):
-        raise MatchingError("lifting property requires a special matching")
-    return _lifting(P, partner)
+    return _lifting(P, _special_input(P, M, "lifting property requires a special matching"))
 
 
 # -- serialization ----------------------------------------------------------

@@ -482,16 +482,29 @@ def _mobius_row(P: Poset, x: int, within: int) -> dict[int, int]:
 def _sphericity_witness(P: Poset) -> Optional[list]:
     """First pair x <= y, x in index order and then y, with
     mu(x, y) != (-1)^(rank difference), as labels; ``["unranked zircon"]``
-    if P has no rank function."""
+    if P has no rank function.
+
+    An x fails iff some interval [x, y] holds more elements of one rank
+    parity than of the other, which costs one AND and two popcounts per y
+    on the strict upset rows. If mu(x, z) = (-1)^(rank difference) for
+    every z in [x, y), then the recursion for mu(x, y) holds it too iff
+    [x, y] is balanced (Stanley, EC1 3.16); so for each x the failures of
+    both tests have the same minimal elements, and the same x fail. Only
+    the first failing x gets a Moebius row, to name the first bad y.
+    """
     rank = P._rank
     if rank is None:
         return ["unranked zircon"]
-    everything = (1 << len(P)) - 1
-    for x in range(len(P)):
-        row = _mobius_row(P, x, everything)
-        bad = [y for y, value in row.items() if value != (-1) ** (rank[y] - rank[x])]
-        if bad:
-            return [P.elements[x], P.elements[min(bad)]]
+    even = sum(1 << i for i, r in enumerate(rank) if not r & 1)
+    below, above = P._below, _signatures(P)[2]
+    for x, up in enumerate(above):
+        base = 2 if even >> x & 1 else 0  # x's share of an interval's even count
+        for y in _bits(up):
+            inner = up & below[y]  # the open interval (x, y)
+            if base + 2 * ((inner & even).bit_count() + (even >> y & 1)) != inner.bit_count() + 2:
+                row = _mobius_row(P, x, (1 << len(P)) - 1)
+                bad = [z for z, value in row.items() if value != (-1) ** (rank[z] - rank[x])]
+                return [P.elements[x], P.elements[min(bad)]]
     return None
 
 

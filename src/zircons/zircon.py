@@ -10,19 +10,26 @@ pairing each fixed point with the opposite extremum of its component is a
 special matching on the fixed-point subposet.
 
 Each public call converts its labels and checks its input once, at the
-boundary, and its result once. ``matching_family`` and
-``fixed_point_matching`` check that M is special on P; the latter also
-checks that phi is an automorphism and P bounded, and then checks the
-induced pairing once, in index form, on the fixed-point subposet: first
-to be a matching, then to be special. The steps in between trust the
+boundary, and its result once. ``matching_family``,
+``fixed_point_matching`` and ``fixed_point_report`` take M through
+``matchings._special_input``: a ``SpecialMatching`` that the library built
+on this very poset (by ``enumerate_special_matchings`` or
+``descent_matching``) was found by the search or checked when it was
+built, and is read-only, so its index form is used as it is; any other
+mapping is parsed and checked to be special on P. ``fixed_point_matching``
+also checks that phi is an automorphism and P bounded, and then checks the
+induced pairing on every call, in index form, on the fixed-point subposet:
+first to be a matching, then to be special. The steps in between trust the
 theory and are not re-checked at run time; the test suite checks them
 against a construction on the whole matching family. A result that
 fails its one check raises ``ConstructionError`` loudly. Inside,
 matchings are ``partner`` tuples of ``matchings`` and components are
-bitmasks over element indices. ``fixed_point_matching`` builds the
-conjugates and walks only the components that hold fixed points; the
-family, with every component, is built only for ``matching_family``,
-``fixed_point_report`` and the sweep's records.
+bitmasks over element indices. Conjugation stops when the orbit of M
+closes, after d steps, d a divisor of the order of phi.
+``fixed_point_matching`` builds those d conjugates and walks only the
+components that hold fixed points; the family, with every component, is
+built only for ``matching_family``, ``fixed_point_report`` and the
+sweep's records.
 ``is_zircon`` searches a principal ideal in place, as the bitmask of its
 members, and builds no ideal poset. It searches top down and reuses each
 special matching it finds on every smaller ideal that the matching maps
@@ -35,10 +42,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .matchings import (
-    MatchingError,
     _failing_covers,
     _is_matching,
-    _partner,
+    _special_input,
     _special_partners,
     matching_pairs,
 )
@@ -162,36 +168,36 @@ def _as_poset_map(P: Poset, f) -> PosetMap:
     return PosetMap(P, f)
 
 
-def _special_input(P: Poset, M: Mapping) -> list[int]:
-    """The index form of M, checked once to be a special matching of P."""
-    partner = _partner(P, M)
-    if partner is None or next(_failing_covers(P, partner), None):
-        raise MatchingError("family construction requires a special matching")
-    return partner
+_NOT_SPECIAL = "family construction requires a special matching"
 
 
 def matching_family(P: Poset, M: Mapping, phi) -> MatchingFamily:
     """Build all conjugates M_1..M_N of a special matching M, N the order
     of phi, and the connected components of their union.
 
-    M is checked once to be special; its conjugates are special because
-    phi is an automorphism, and they are not re-checked.
+    M is checked once to be special, unless it is a ``SpecialMatching``
+    of P; its conjugates are special because phi is an automorphism, and
+    they are not re-checked.
     """
     fm = _as_poset_map(P, phi)
-    return _matching_family(_special_input(P, M), fm)
+    return _matching_family(_special_input(P, M, _NOT_SPECIAL), fm)
 
 
 def _conjugates(partner: Sequence[int], phi: PosetMap) -> tuple[tuple[int, ...], ...]:
-    """M_1..M_N of a matching in index form, M_k = phi M_(k-1) phi^-1."""
+    """M_1..M_d of an involution in index form, M_k = phi M_(k-1) phi^-1,
+    up to the first M_d equal to M: the orbit of M under conjugation, d a
+    divisor of the order of phi, which is not computed."""
     perm = phi._perm
+    base = partner = tuple(partner)  # a list never equals the tuples made here
     members = []
-    for _ in range(phi.order()):
+    while True:
         conjugate = [0] * len(perm)
         for j, image in enumerate(perm):  # phi(j) is matched to phi(M(j))
             conjugate[image] = perm[partner[j]]
         partner = tuple(conjugate)
         members.append(partner)
-    return tuple(members)
+        if partner == base:
+            return tuple(members)
 
 
 def _component(members: Sequence[Sequence[int]], x: int) -> int:
@@ -207,20 +213,23 @@ def _component(members: Sequence[Sequence[int]], x: int) -> int:
 
 
 def _matching_family(partner: Sequence[int], phi: PosetMap) -> MatchingFamily:
-    """The family of a special matching given in index form, not checked."""
-    members = _conjugates(partner, phi)
+    """The family of a special matching given in index form, not checked.
+    Its components come from the d distinct conjugates; its members repeat
+    them N/d times, N the order of phi."""
+    orbit = _conjugates(partner, phi)
+    order = phi.order()
     components: list[int] = []
     component_of = [-1] * len(partner)
     for x in range(len(partner)):
         if component_of[x] == -1:
-            mask = _component(members, x)
+            mask = _component(orbit, x)
             for y in _bits(mask):
                 component_of[y] = len(components)
             components.append(mask)
     return MatchingFamily(
         automorphism=phi,
-        order=len(members),
-        members=members,
+        order=order,
+        members=orbit * (order // len(orbit)),
         components=tuple(components),
         component_of=tuple(component_of),
     )
@@ -257,7 +266,10 @@ def component_extrema(P: Poset, C) -> tuple[str, str]:
     Raises ExtremaError when either is not unique; for genuine orbit
     components that would contradict a proven property.
     """
-    lo, hi = _extrema(P, sum(1 << P.index(x) for x in set(C)))
+    mask = 0
+    for x in C:  # ids that name one element set one bit
+        mask |= 1 << P.index(x)
+    lo, hi = _extrema(P, mask)
     return P.elements[lo], P.elements[hi]
 
 
@@ -347,15 +359,17 @@ def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
     """The induced special matching on the fixed points of phi.
 
     Input, checked at the boundary: phi an automorphism of P, P bounded,
-    M special. Each fixed point sits at an extremum of its orbit component
-    and is matched to the opposite extremum. The result is checked once,
-    to be a special matching on the fixed-point subposet;
+    M special (taken as it is when it is a ``SpecialMatching`` of P). Each
+    fixed point sits at an extremum of its orbit component and is matched
+    to the opposite extremum. The result is checked once, to be a special
+    matching on the fixed-point subposet;
     ``ConstructionError`` is raised otherwise. No ``MatchingFamily`` is
-    built: only the conjugates and the components of the fixed points.
+    built: only the conjugates, up to the closing of M's orbit, and the
+    components of the fixed points. The result is a plain dict.
     """
     fm = _as_poset_map(P, phi)
     _require_bounded(P)
-    return _fixed_point_matching(P, _conjugates(_special_input(P, M), fm), fm)
+    return _fixed_point_matching(P, _conjugates(_special_input(P, M, _NOT_SPECIAL), fm), fm)
 
 
 def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:

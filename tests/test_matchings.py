@@ -1,9 +1,14 @@
+import copy
+import json
+import pickle
+
 import pytest
 from matching_oracle import recursive_special_partners
 
 from zircons import (
     MatchingError,
     SearchLimitError,
+    SpecialMatching,
     UnknownElementError,
     build_coxeter,
     build_poset,
@@ -25,7 +30,7 @@ from zircons import (
     twisted_map,
     verify_lifting,
 )
-from zircons.matchings import _partner, _special_partners
+from zircons.matchings import _partner, _special_input, _special_partners
 from zircons.posets import _bits, automorphisms
 
 
@@ -286,6 +291,83 @@ class TestLifting:
     def test_rejects_non_special_input(self, n_poset):
         with pytest.raises(MatchingError):
             verify_lifting(n_poset, {"a": "c", "c": "a", "b": "d", "d": "b"})
+
+
+_MUTATORS = (
+    lambda M: M.__setitem__("0", "2"),
+    lambda M: M.__delitem__("0"),
+    lambda M: M.clear(),
+    lambda M: M.pop("0"),
+    lambda M: M.popitem(),
+    lambda M: M.setdefault("0", "2"),
+    lambda M: M.update({"0": "2"}),
+    lambda M: M.__ior__({"0": "2"}),
+)
+
+
+class TestSpecialMatching:
+    """The library's special matchings are read-only dicts that keep the
+    poset they were found on and their index form."""
+
+    @pytest.fixture()
+    def found(self, diamond):
+        return enumerate_special_matchings(diamond)[0]
+
+    @pytest.mark.parametrize("mutate", _MUTATORS)
+    def test_every_mutator_raises(self, found, mutate):
+        before = dict(found)
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(found)
+        assert found == before
+
+    def test_augmented_or_raises(self, found):
+        M = found
+        with pytest.raises(TypeError, match="read-only"):
+            M |= {"0": "2"}
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, dict.copy,
+                                           lambda M: pickle.loads(pickle.dumps(M))])
+    def test_copies_are_plain_dicts(self, found, duplicate):
+        twin = duplicate(found)
+        assert type(twin) is dict and twin == found
+        twin["0"] = "2"  # a copy is mutable, and the original unchanged
+        assert found["0"] != "2"
+
+    def test_behaves_as_its_dict(self, found):
+        plain = dict(found)
+        assert found == plain and plain == found and found != {}
+        assert json.dumps(found) == json.dumps(plain)
+        assert list(found.items()) == list(plain.items()) and len(found) == 4
+        assert matching_pairs(found) == matching_pairs(plain)
+        assert isinstance(found, dict) and not hasattr(found, "__dict__")
+
+    def test_keeps_its_source_and_index_form(self, diamond, found):
+        assert found._source is diamond
+        assert list(found._partner) == _partner(diamond, found)
+
+    def test_descent_matching_keeps_its_ideal(self, a2):
+        B = a2.bruhat_poset()
+        M = descent_matching(a2, a2.longest_element(), "s1", "left", ideal=B)
+        assert type(M) is SpecialMatching and M._source is B
+        assert list(M._partner) == _partner(B, M) and is_special(B, M).ok
+
+    def test_only_a_matching_of_this_poset_is_trusted(self, diamond, found):
+        """``_special_input`` takes the index form of a ``SpecialMatching``
+        of the very poset object it is given; a plain dict, one of an equal
+        poset, and one made by hand are parsed and checked."""
+        assert _special_input(diamond, found, "x") is found._partner
+        twin = build_poset(diamond.elements, diamond.covers)
+        by_hand = SpecialMatching(found)
+        for M in (dict(found), enumerate_special_matchings(twin)[0], by_hand):
+            got = _special_input(diamond, M, "x")
+            assert got is not found._partner and got == _partner(diamond, found)
+
+    def test_a_hand_made_non_special_matching_is_rejected(self, n_poset):
+        """A hand-made ``SpecialMatching`` carries no proof: the boundary
+        checks it like a dict and raises with the caller's message."""
+        M = SpecialMatching({"a": "c", "c": "a", "b": "d", "d": "b"})
+        with pytest.raises(MatchingError, match="lifting property requires a special matching"):
+            verify_lifting(n_poset, M)
 
 
 def _oracle_inputs(P):

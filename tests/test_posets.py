@@ -34,9 +34,11 @@ from zircons import (
     poset_to_dot,
     principal_ideal,
     rank_function,
+    theta_from_spec,
+    twisted_map,
 )
 import zircons
-from zircons.posets import PosetMap, _sphericity_witness
+from zircons.posets import PosetMap, _fixed_subposet, _sphericity_witness
 
 
 def brute_closure(relations):
@@ -290,6 +292,39 @@ class TestMobius:
             for P in labelled_posets(n):
                 assert _sphericity_witness(P) == zeta_sphericity_witness(P)
 
+
+    @pytest.mark.parametrize("spec,theta,size", [("A3", "id", 10), ("A3", "flip", 10),
+                                                 ("A4", "flip", 26), ("B3", "id", 20),
+                                                 ("D4", "s1:s2,s2:s1", 32)])
+    def test_sphericity_witness_on_twisted_posets(self, spec, theta, size):
+        """The twisted involutions, the fixed points of w -> theta(w^-1),
+        are Eulerian (Hultman 2005): the parity test finds no bad interval,
+        as the zeta-inversion table says."""
+        W = build_coxeter(spec)
+        P = _fixed_subposet(W.bruhat_poset(), twisted_map(W, theta_from_spec(W, theta)))
+        assert len(P) == size
+        assert _sphericity_witness(P) is None and zeta_sphericity_witness(P) is None
+
+    @pytest.mark.parametrize("spec", ["A2", "A3", "B3"])
+    def test_sphericity_witness_with_one_interval_made_non_eulerian(self, spec):
+        """A Bruhat order stays graded when an element z is put between u
+        and v, two ranks apart, but [u, v] is then no longer Eulerian, nor
+        any interval holding it. With z first or last in the element order,
+        the witness is the first bad pair of the zeta-inversion table."""
+        B = build_coxeter(spec).bruhat_poset()
+        rank = rank_function(B)
+        cases = 0
+        for u in B.elements:
+            for v in B.elements:
+                if rank[v] - rank[u] != 2 or not leq(B, u, v):
+                    continue
+                covers = [*B.covers, (u, "z"), ("z", v)]
+                for elements in (["z", *B.elements], [*B.elements, "z"]):
+                    P = build_poset(elements, covers)
+                    witness = _sphericity_witness(P)
+                    assert witness is not None and witness == zeta_sphericity_witness(P)
+                    cases += 1
+        assert cases == {"A2": 2 * 4, "A3": 2 * 63, "B3": 2 * 192}[spec]
 
 def zeta_sphericity_witness(P):
     """The first pair (x, y), x in index order and then y, where the

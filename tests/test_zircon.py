@@ -193,6 +193,13 @@ class TestComponents:
             "s1.s2.s1",
         )
 
+    def test_extrema_of_ids_naming_one_element(self, diamond):
+        """Ids that name one element, such as 1 and "1", count once: their
+        bits are ORed, not added into a carry."""
+        assert component_extrema(diamond, [1, "1"]) == ("1", "1")
+        assert component_extrema(diamond, [0, "0", 3]) == ("0", "3")
+        assert component_extrema(diamond, (x for x in ["3", 3, "1", 1, 0])) == ("0", "3")
+
     def test_extrema_raises_on_bad_set(self, diamond):
         with pytest.raises(ExtremaError):
             component_extrema(diamond, {"1", "2"})
@@ -447,6 +454,26 @@ def test_index_form_agrees_with_label_walk(corpus_to_5, cube, a3):
     assert cases > 1000
 
 
+def test_conjugation_stops_when_the_orbit_closes(corpus_to_5, cube, a3):
+    """``_conjugates`` returns M_1..M_d, the orbit of M: d divides the
+    order N of phi, the members are distinct, M_d is M and they are the
+    first d label conjugates. The family keeps its meaning: order N, and
+    the orbit repeated N/d times."""
+    seen = set()
+    for P in [*corpus_to_5, cube, a3.bruhat_poset(), build_coxeter("I2:6").bruhat_poset()]:
+        for M in enumerate_special_matchings(P):
+            partner = _partner(P, M)  # a list, as a checked input gives
+            for phi in automorphisms(P):
+                orbit = zircons.zircon._conjugates(partner, phi)
+                N, d = phi.order(), len(orbit)
+                assert N % d == 0 and len(set(orbit)) == d and orbit[-1] == tuple(partner)
+                F = matching_family(P, M, phi)
+                assert F.order == N and F.members == orbit * (N // d)
+                assert list(members(P, F))[:d] == _conjugates(M, phi)[:d]
+                seen.add((N, d))
+    assert {(1, 1), (2, 1), (2, 2), (3, 3)} <= seen
+
+
 def _outcome(construct, *args):
     """The result of a construction, or the type and message of its error."""
     try:
@@ -483,8 +510,11 @@ class TestAgainstFamilyOracle:
 
     @staticmethod
     def _agree(P, M, phi):
+        """M is the library's own ``SpecialMatching`` of P, taken as it is;
+        its plain copy goes through the full check and must agree."""
         got = fixed_point_matching(P, M, phi)
         assert got == family_fixed_point_matching(P, _partner(P, M), phi)
+        assert fixed_point_matching(P, dict(M), phi) == got
         return got
 
     @pytest.mark.parametrize("spec,count", [("A3", 1518), ("B3", 9276), ("I2:6", 2836)])
@@ -593,6 +623,24 @@ class TestChecksRunOnce:
         fixed = len(phi.fixed_points())
         assert check_calls == {"special": [8, fixed], "matching": [8, fixed]}
         assert len(got) == fixed
+
+    def test_a_library_matching_is_not_checked_again(self, check_calls, cube):
+        """A ``SpecialMatching`` that the search found on this very poset
+        object is taken as it is: only the result is checked. Its plain
+        copy, and the same matching found on an equal but distinct poset,
+        are checked in full."""
+        phi = PosetMap(cube, {str(m): str(m & 1 | (m & 2) << 1 | (m & 4) >> 1) for m in range(8)})
+        fixed = len(phi.fixed_points())
+        M = enumerate_special_matchings(cube)[0]
+        twin = enumerate_special_matchings(poset_from_dict(poset_to_dict(cube)))[0]
+        assert twin == M and twin._source is not cube
+        results = []
+        for given, checked in ((M, [fixed]), (dict(M), [8, fixed]), (twin, [8, fixed])):
+            check_calls["special"].clear()
+            check_calls["matching"].clear()
+            results.append(fixed_point_matching(cube, given, phi))
+            assert check_calls == {"special": checked, "matching": checked}
+        assert all(type(r) is dict and r == results[0] for r in results)
 
     def test_fixed_point_matching_builds_no_family(self, monkeypatch, cube):
         built = []
