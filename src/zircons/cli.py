@@ -36,10 +36,11 @@ from .matchings import (
     MatchingError,
     SearchLimitError,
     _failing_covers,
-    _lifting,
     _partner,
+    _special_matching,
     matching_from_dict,
     matching_pairs,
+    verify_lifting,
 )
 from .posets import (
     NotAutomorphismError,
@@ -59,8 +60,7 @@ from .zircon import (
     BoundednessError,
     ConstructionError,
     ExtremaError,
-    _fixed_point_report,
-    _matching_family,
+    fixed_point_report,
     fixed_point_subposet,
     is_zircon,
 )
@@ -109,7 +109,7 @@ def cmd_check(args) -> int:
     M = matching_from_dict(_load_json(args.matching))
     report: dict = {"poset": poset_to_dict(P), "matching_pairs": matching_pairs(M)}
 
-    # M is converted and checked once; the later steps take its index form
+    # M is converted and checked once; later steps take it as a SpecialMatching
     partner = _partner(P, M)
     if partner is None:
         report.update(matching=False, special=None, witness=None, lifting=None)
@@ -122,7 +122,8 @@ def cmd_check(args) -> int:
     report["witness"] = [P.elements[i] for i in failing] if failing else None
     report["lifting"] = None
     if special:
-        lifting = _lifting(P, partner)
+        M = _special_matching(P, partner)
+        lifting = verify_lifting(P, M)
         report["lifting"] = lifting.ok
         if not lifting.ok:
             report["lifting_witness"] = list(lifting.witness)
@@ -137,7 +138,7 @@ def cmd_check(args) -> int:
             raise InputError("fixed-point construction requires a special matching")
         if not is_bounded(P):
             raise InputError("fixed-point construction requires a bounded poset")
-        fp = _fixed_point_report(P, _matching_family(partner, phi))
+        fp = fixed_point_report(P, M, phi)
         report["fixed_point"] = fp
         if not fp["special"]:
             ok = False

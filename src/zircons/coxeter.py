@@ -22,7 +22,6 @@ lists, and labels are made only for results, witnesses and errors.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -49,6 +48,9 @@ __all__ = [
 
 DEFAULT_ORDER_CAP = 50_000
 
+# the most digits a message prints: int and str convert at most 4300 by default
+_MAX_DIGITS = 4000
+
 _TYPE_RE = re.compile(r"^([ABD])(\d+)$|^I2(?::(\d+)|\((\d+)\))$")
 
 
@@ -70,14 +72,29 @@ def _parse_type_spec(type_spec: str) -> tuple[str, int]:
     m = _TYPE_RE.match(type_spec.strip())
     if not m:
         raise CoxeterError(f"cannot parse type spec {type_spec!r} (want A3, B3, D4, I2:7)")
-    if m.group(1):
-        family, rank = m.group(1), int(m.group(2))
-    else:
-        family, rank = "I2", int(m.group(3) or m.group(4))
+    family = m.group(1) or "I2"
+    digits = m.group(2) or m.group(3) or m.group(4)
+    if len(digits) > _MAX_DIGITS:
+        raise CoxeterError(f"{family} parameter has {len(digits)} digits, more than {_MAX_DIGITS}")
+    rank = int(digits)
     limits = {"A": 1, "B": 2, "D": 2, "I2": 2}
     if rank < limits[family]:
         raise CoxeterError(f"{family} requires parameter >= {limits[family]}")
     return family, rank
+
+
+def _group_order(family: str, rank: int) -> Optional[int]:
+    """The order of the group, (n+1)! = 2*3*...*(n+1) for A_n, 2^n n! =
+    2*4*...*2n for B_n, 2^(n-1) n! = 4*6*...*2n for D_n and 2m for I2(m),
+    or None once its factors multiply up past _MAX_DIGITS digits."""
+    factors = {"A": range(2, rank + 2), "B": range(2, 2 * rank + 1, 2),
+               "D": range(4, 2 * rank + 1, 2), "I2": [2 * rank]}[family]
+    order, beyond = 1, 10 ** _MAX_DIGITS
+    for factor in factors:
+        order *= factor
+        if order >= beyond:
+            return None
+    return order
 
 
 def _permutation_model(family: str, rank: int) -> list[tuple[int, ...]]:
@@ -123,16 +140,10 @@ class CoxeterSystem:
         family, rank = _parse_type_spec(type_spec)
         self.type_spec = f"I2:{rank}" if family == "I2" else f"{family}{rank}"
         self.family = family
-        if family == "A":
-            expected = math.factorial(rank + 1)
-        elif family == "I2":
-            expected = 2 * rank
-        else:  # D_n has half of B_n's sign changes
-            expected = 2 ** (rank - (family == "D")) * math.factorial(rank)
-        if expected > order_cap:
-            raise CoxeterError(
-                f"group order {expected} exceeds the cap {order_cap}"
-            )
+        expected = _group_order(family, rank)
+        if expected is None or expected > order_cap:
+            size = expected or f"of more than {_MAX_DIGITS} digits"
+            raise CoxeterError(f"group order {size} exceeds the cap {order_cap}")
         self._gen_models = _permutation_model(family, rank)
         self.generators = [f"s{i}" for i in range(1, len(self._gen_models) + 1)]
         self._identity = tuple(range(1, len(self._gen_models[0]) + 1))
@@ -303,7 +314,8 @@ def descent_matching(
     ``_failing_covers``; a failure raises ``CoxeterError``, since it would
     expose a model bug. The result is a read-only ``SpecialMatching`` of
     the ideal, so the constructions that take it on that ideal do not
-    check it again.
+    check it again. Without ``ideal``, the ideal of w is built by
+    ``principal_ideal``, or is ``W.bruhat_poset()`` itself for w = w0.
     """
     if side not in ("right", "left"):
         raise CoxeterError(f"side must be 'right' or 'left', got {side!r}")
@@ -314,9 +326,11 @@ def descent_matching(
         raise CoxeterError(f"{s!r} is not a {side} descent of {label!r}")
     B = W.bruhat_poset()  # indexed like W.elements
     if ideal is None:
-        ideal = principal_ideal(B, label)
+        ideal = B if B._below[i].bit_count() == len(B) - 1 else principal_ideal(B, label)
     partner = []
     for x in ideal.elements:
+        if x not in B._index:
+            raise CoxeterError(f"ideal element {x!r} is not an element of {W.type_spec}")
         y = B.elements[images[B._index[x]]]
         if y not in ideal:
             raise CoxeterError(

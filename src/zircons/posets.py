@@ -11,9 +11,9 @@ are derived from the adjacency on each access. Arbitrary-precision ints
 cannot wrap, so the order is exact at every size. An instance's order
 never changes after construction: a ``Poset`` gains no state; a
 ``PosetMap`` gains its fixed-point subposet, with no lock: sweeps run in
-worker processes and send plain dict payloads, so no instance is shared
-between threads. Only this module writes that state or checks a map; the
-other modules hand it index forms. Only finite posets are representable,
+worker processes, each on its own pickled copies of the posets, so no
+instance is shared between threads. Only this module writes that state
+or checks a map; the other modules hand it index forms. Only finite posets are representable,
 hence local-finiteness hypotheses hold vacuously throughout.
 """
 

@@ -8,6 +8,9 @@ of the two zircon definitions, the Mobius sphericity proxy on zircons,
 and the proof-step invariants (unique component extrema, extremal fixed
 points, and the extrema as the only sinks of greedy descent).
 
+Each poset reaches ``sweep_case`` as the corpus built it, pickled if it
+goes to a worker process; only a worker panic serializes it.
+
 Reports are deterministic: records are sorted, and the JSON encoding is
 byte-stable apart from the wall-clock duration field.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -30,7 +34,7 @@ from .matchings import (
     matching_pairs,
 )
 from .posets import (Poset, _fixed_subposet, _sphericity_witness, automorphisms, is_bounded,
-                     poset_from_dict, poset_to_dict)
+                     poset_to_dict)
 from .zircon import (
     ConstructionError,
     ExtremaError,
@@ -122,25 +126,16 @@ def validate_manifest(manifest: dict) -> dict:
     return {"mode": "random", "n": n, "seeds": list(seeds), "density": float(density)}
 
 
-def _iter_payloads(config: dict, cap_matchings: int) -> Iterable[dict]:
+def _iter_posets(config: dict) -> Iterable[tuple[str, Poset]]:
+    """Each poset of the manifest with its id, as the corpus built it."""
     if config["mode"] == "exhaustive":
         for n in range(1, config["max_n"] + 1):
             for k, P in enumerate(corpus.enumerate_posets(n)):
-                yield {
-                    "poset_id": f"n{n}-c{k:04d}",
-                    "poset": poset_to_dict(P),
-                    "mode": "exhaustive",
-                    "cap": cap_matchings,
-                }
+                yield f"n{n}-c{k:04d}", P
     else:
         for seed in config["seeds"]:
             P = corpus.random_poset(config["n"], seed, config["density"])
-            yield {
-                "poset_id": f"rand-n{config['n']}-s{seed}",
-                "poset": poset_to_dict(P),
-                "mode": "random",
-                "cap": cap_matchings,
-            }
+            yield f"rand-n{config['n']}-s{seed}", P
 
 
 def _record(poset_id: str, check: str, ok: bool, *, matching: Optional[int] = None,
@@ -194,12 +189,12 @@ def _proof_step_records(poset_id: str, P: Poset, family, m_idx: int, a_idx: int)
     # A greedy walk moves strictly down (up) in its component and stops at a
     # sink, an element that no member moves down (up): every walk, in every
     # order, ends at the minimum (maximum) iff that is the only such sink.
-    below, members = P._below, family.members
+    below, orbit = P._below, family.orbit
     witness = None
     for q, c in enumerate(family.component_of):
         lo, hi = extrema[c]
-        down_sink = q != lo and not any(below[q] >> m[q] & 1 for m in members)
-        up_sink = q != hi and not any(below[m[q]] >> q & 1 for m in members)
+        down_sink = q != lo and not any(below[q] >> m[q] & 1 for m in orbit)
+        up_sink = q != hi and not any(below[m[q]] >> q & 1 for m in orbit)
         if down_sink or up_sink:
             witness = [labels[q], labels[q if down_sink else lo], labels[q if up_sink else hi]]
             break
@@ -208,12 +203,9 @@ def _proof_step_records(poset_id: str, P: Poset, family, m_idx: int, a_idx: int)
     return records
 
 
-def sweep_case(payload: dict) -> list[dict]:
-    """All check records for one poset. Pure; safe to fan out."""
-    poset_id = payload["poset_id"]
-    P = poset_from_dict(payload["poset"])
-    mode = payload["mode"]
-    cap = payload["cap"]
+def sweep_case(poset_id: str, P: Poset, mode: str, cap: int) -> list[dict]:
+    """All check records for one poset, the matching search capped at
+    ``cap``. Pure; safe to fan out."""
     records: list[dict] = []
 
     zircon = is_zircon(P)
@@ -264,7 +256,7 @@ def sweep_case(payload: dict) -> list[dict]:
         for m_idx, partner in enumerate(specials):
             family = _matching_family(partner, phi)
             try:
-                m_phi = _fixed_point_matching(P, family.members, phi)
+                m_phi = _fixed_point_matching(P, family.orbit, phi)
                 pairs = matching_pairs(m_phi)
                 records.append(_record(poset_id, "fixed_point_special", True,
                                        matching=m_idx, automorphism=a_idx,
@@ -282,10 +274,12 @@ def sweep_case(payload: dict) -> list[dict]:
     return records
 
 
-def _worker(payload: dict) -> dict:
+def _worker(case: tuple[str, Poset, str, int]) -> dict:
     try:
-        return {"records": sweep_case(payload)}
+        return {"records": sweep_case(*case)}
     except Exception:
+        poset_id, P, mode, cap = case
+        payload = {"poset_id": poset_id, "poset": poset_to_dict(P), "mode": mode, "cap": cap}
         return {"panic": traceback.format_exc(), "poset": payload}
 
 
@@ -318,14 +312,13 @@ def run_sweep(
     if cap_matchings < 0:
         raise ManifestError(f"cap_matchings must be at least 0, not {cap_matchings}")
     started = time.perf_counter()
-    payloads = list(_iter_payloads(config, cap_matchings))
-    results: list[dict] = []
-    if jobs > 1 and len(payloads) > 1:
+    work = [(poset_id, P, config["mode"], cap_matchings) for poset_id, P in _iter_posets(config)]
+    if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(payloads) // (jobs * 4))
-            results = list(pool.map(_worker, payloads, chunksize=chunk))
+            chunk = max(1, len(work) // (jobs * 4))
+            results = list(pool.map(_worker, work, chunksize=chunk))
     else:
-        results = [_worker(p) for p in payloads]
+        results = [_worker(case) for case in work]
 
     cases: list[dict] = []
     for res in results:
@@ -334,20 +327,12 @@ def run_sweep(
         cases.extend(res["records"])
     cases.sort(key=_sort_key)
 
-    by_check: dict[str, int] = {}
-    violations = 0
-    skipped = 0
-    for rec in cases:
-        by_check[rec["check"]] = by_check.get(rec["check"], 0) + 1
-        if not rec["ok"]:
-            violations += 1
-        if rec["check"] == "theorem_suite_skipped":
-            skipped += 1
+    by_check = Counter(rec["check"] for rec in cases)
     summary = {
-        "posets": len(payloads),
+        "posets": len(work),
         "records": len(cases),
-        "violations": violations,
-        "skipped": skipped,
+        "violations": sum(not rec["ok"] for rec in cases),
+        "skipped": by_check["theorem_suite_skipped"],
         "panics": 0,
         "by_check": dict(sorted(by_check.items())),
     }

@@ -25,11 +25,11 @@ against a construction on the whole matching family. A result that
 fails its one check raises ``ConstructionError`` loudly. Inside,
 matchings are ``partner`` tuples of ``matchings`` and components are
 bitmasks over element indices. Conjugation stops when the orbit of M
-closes, after d steps, d a divisor of the order of phi.
-``fixed_point_matching`` builds those d conjugates and walks only the
-components that hold fixed points; the family, with every component, is
-built only for ``matching_family``, ``fixed_point_report`` and the
-sweep's records.
+closes, after d steps, d a divisor of the order N of phi; every step
+walks those d conjugates, not M_1..M_N. ``fixed_point_matching`` walks
+only the components that hold fixed points; the family, with every
+component, is built only for ``matching_family``, ``fixed_point_report``
+and the sweep's records.
 ``is_zircon`` searches a principal ideal in place, as the bitmask of its
 members, and builds no ideal poset. It searches top down and reuses each
 special matching it finds on every smaller ideal that the matching maps
@@ -92,18 +92,24 @@ class ConstructionError(RuntimeError):
 class MatchingFamily:
     """The conjugates M_k of a special matching under automorphism powers.
 
-    ``members[k-1]`` is M_k(p) = phi^k(M(phi^-k(p))) as a partner tuple,
-    for k = 1..N, N the multiplicative order of phi; M_N equals the base
-    matching. ``components`` holds the connected components of the union
-    of all member edges as bitmasks, in order of their first element;
-    element i lies in ``components[component_of[i]]``.
+    M_k(p) = phi^k(M(phi^-k(p))), for k = 1..N, N the multiplicative order
+    of phi. ``orbit[k-1]`` is M_k as a partner tuple for k = 1..d, d the
+    size of M's orbit under conjugation, a divisor of N; M_d is the base
+    matching, and M_(k+d) = M_k. ``members`` is the paper's M_1..M_N, the
+    orbit repeated N/d times. ``components`` holds the connected
+    components of the union of all member edges as bitmasks, in order of
+    their first element; element i lies in ``components[component_of[i]]``.
     """
 
     automorphism: PosetMap
     order: int
-    members: tuple[tuple[int, ...], ...]
+    orbit: tuple[tuple[int, ...], ...]
     components: tuple[int, ...]
     component_of: tuple[int, ...]
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return self.orbit * (self.order // len(self.orbit))
 
 
 def is_zircon(P: Poset) -> bool:
@@ -213,11 +219,9 @@ def _component(members: Sequence[Sequence[int]], x: int) -> int:
 
 
 def _matching_family(partner: Sequence[int], phi: PosetMap) -> MatchingFamily:
-    """The family of a special matching given in index form, not checked.
-    Its components come from the d distinct conjugates; its members repeat
-    them N/d times, N the order of phi."""
+    """The family of a special matching given in index form, not checked;
+    its orbit and components come from the d distinct conjugates."""
     orbit = _conjugates(partner, phi)
-    order = phi.order()
     components: list[int] = []
     component_of = [-1] * len(partner)
     for x in range(len(partner)):
@@ -228,8 +232,8 @@ def _matching_family(partner: Sequence[int], phi: PosetMap) -> MatchingFamily:
             components.append(mask)
     return MatchingFamily(
         automorphism=phi,
-        order=order,
-        members=orbit * (order // len(orbit)),
+        order=phi.order(),
+        orbit=orbit,
         components=tuple(components),
         component_of=tuple(component_of),
     )
@@ -298,7 +302,7 @@ def greedy_descend(
     below, down, i = P._below, direction == "down", P.index(q)
     while True:
         for k in ks:
-            image = F.members[k - 1][i]
+            image = F.orbit[(k - 1) % len(F.orbit)][i]  # M_k = M_(k-d)
             if (below[i] >> image if down else below[image] >> i) & 1:
                 i = image
                 break
@@ -316,10 +320,10 @@ def _require_bounded(P: Poset) -> None:
         raise BoundednessError("fixed-point construction requires a bounded poset")
 
 
-def _fixed_point_matching(P: Poset, members: Sequence[Sequence[int]], phi: PosetMap) -> dict[str, str]:
+def _fixed_point_matching(P: Poset, orbit: Sequence[Sequence[int]], phi: PosetMap) -> dict[str, str]:
     """Pair each fixed point of phi with the opposite extremum of its
-    component in the union of the conjugates ``members``, then check once
-    that the pairing is special on the fixed-point subposet.
+    component in the union of the conjugates ``orbit``, M_1..M_d, then
+    check once that the pairing is special on the fixed-point subposet.
 
     Only the components of fixed points are walked, and each has its
     extrema taken by ``_extrema``; a component is walked again only for a
@@ -338,7 +342,7 @@ def _fixed_point_matching(P: Poset, members: Sequence[Sequence[int]], phi: Poset
     for p in fixed:
         extrema = ends.get(p)
         if extrema is None:  # p is the first fixed point of its component, or neither extremum
-            extrema = _extrema(P, _component(members, p))
+            extrema = _extrema(P, _component(orbit, p))
             ends[extrema[0]] = ends[extrema[1]] = extrema
         lo, hi = extrema
         if p != lo and p != hi:
@@ -374,24 +378,19 @@ def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
 
 def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
     """JSON-ready record of one fixed-point construction run."""
-    return _fixed_point_report(P, matching_family(P, M, _as_poset_map(P, phi)))
-
-
-def _fixed_point_report(P: Poset, family: MatchingFamily) -> dict:
-    """``fixed_point_report`` on a family whose base matching is special."""
-    phi = family.automorphism
+    family = matching_family(P, M, phi)
     report = {
         "n": len(P),
         "order_N": family.order,
         "components": [[P.elements[i] for i in _bits(mask)] for mask in family.components],
-        "fixed_points": list(phi.fixed_points()),
+        "fixed_points": list(family.automorphism.fixed_points()),
         "special": False,
         "witness": None,
         "m_phi": None,
     }
     try:
         _require_bounded(P)
-        m_phi = _fixed_point_matching(P, family.members, phi)
+        m_phi = _fixed_point_matching(P, family.orbit, family.automorphism)
     except (BoundednessError, ConstructionError, ExtremaError) as exc:
         report["witness"] = str(exc)
         return report

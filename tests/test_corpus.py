@@ -23,7 +23,7 @@ from zircons import (
     random_poset,
 )
 from zircons.corpus import _is_least
-from zircons.sweep import _iter_payloads
+from zircons.sweep import _iter_posets
 
 # counts of posets by isomorphism class (OEIS A000112) and by labeling, n = 1..
 CLASS_COUNTS = [1, 2, 5, 16, 63, 318, 2045]
@@ -55,8 +55,7 @@ class TestEnumeration:
             next(enumerate_posets(8))
 
     def test_stream_ids_unique(self):
-        payloads = _iter_payloads({"mode": "exhaustive", "max_n": 4}, cap_matchings=1)
-        ids = [payload["poset_id"] for payload in payloads]
+        ids = [poset_id for poset_id, _ in _iter_posets({"mode": "exhaustive", "max_n": 4})]
         assert len(ids) == len(set(ids)) == 24
 
 

@@ -133,10 +133,15 @@ class TestBuild:
                 build_coxeter(bad)
 
     def test_order_cap(self):
-        with pytest.raises(CoxeterError):
-            build_coxeter("A8")  # 362880 elements
-        with pytest.raises(CoxeterError):
+        with pytest.raises(CoxeterError, match="group order 362880 exceeds the cap 50000"):
+            build_coxeter("A8")
+        with pytest.raises(CoxeterError, match="group order 199998 exceeds the cap"):
             build_coxeter("I2:99999")
+        # 2001! has 5736 digits, more than a message prints
+        with pytest.raises(CoxeterError, match="of more than 4000 digits exceeds the cap 50000"):
+            build_coxeter("A2000")
+        with pytest.raises(CoxeterError, match="I2 parameter has 5000 digits"):
+            build_coxeter("I2:" + "9" * 5000)
 
     def test_left_right_multiplication_commute(self, b2):
         for name_s in b2.generators:
@@ -235,6 +240,11 @@ class TestDescentMatching:
     def test_non_descent_rejected(self, a2):
         with pytest.raises(CoxeterError):
             descent_matching(a2, "s1", "s2", "right")
+
+    def test_ideal_with_a_foreign_label_rejected(self, a2):
+        ideal = build_poset(["x", "e"], [("e", "x")])
+        with pytest.raises(CoxeterError, match="'x' is not an element of A2"):
+            descent_matching(a2, a2.longest_element(), "s1", "right", ideal=ideal)
 
 
 def _swap_s1_s2(W, monkeypatch):

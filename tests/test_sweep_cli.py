@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -78,6 +81,29 @@ class TestSweep:
         ):
             with pytest.raises(ManifestError):
                 validate_manifest(bad)
+
+    def test_workers_take_posets_as_built(self, monkeypatch):
+        """The corpus posets reach the battery as built: no poset is parsed
+        back from its payload, here or in a worker."""
+        parsed = []
+        real = zircons.posets.poset_from_dict
+
+        def counting(obj):
+            parsed.append(obj)
+            return real(obj)
+
+        for module in ("posets", "sweep", "cli"):
+            monkeypatch.setattr(f"zircons.{module}.poset_from_dict", counting, raising=False)
+        rep = run_sweep({"mode": "exhaustive", "max_n": 6}, jobs=1)
+        assert rep.summary["posets"] == 405 and rep.violations == 0
+        assert parsed == []
+
+    def test_random_parallel_equals_serial(self):
+        """Posets pickled to worker processes give the serial report."""
+        manifest = {"mode": "random", "n": 7, "seeds": [0, 1, 2, 3], "density": 0.4}
+        a, b = (run_sweep(manifest, jobs=jobs).to_dict() for jobs in (1, 2))
+        a["duration_seconds"] = b["duration_seconds"] = 0.0
+        assert a == b
 
     def test_tiny_matching_cap_reports_truncation(self):
         rep = run_sweep({"mode": "exhaustive", "max_n": 4}, jobs=1, cap_matchings=1)
@@ -309,7 +335,7 @@ class TestSweepCommand:
     def test_worker_panic_exits_3(self, files, monkeypatch):
         tmp, write = files
 
-        def boom(payload):
+        def boom(*case):
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr("zircons.sweep.sweep_case", boom)
@@ -327,6 +353,25 @@ class TestSweepCommand:
         report = json.loads((tmp / "panic.json").read_text())
         assert "injected failure" in report["panic"]
         assert "poset" in report  # serialized for reproduction
+
+    def test_panic_payload(self, files, monkeypatch):
+        """The offending poset is serialized with its id, mode and cap:
+        ``sweep_case``'s arguments, as ``poset_from_dict`` reads the poset."""
+        tmp, write = files
+
+        def boom(*case):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr("zircons.sweep.sweep_case", boom)
+        rc = main(["sweep", write("man.json", {"mode": "random", "n": 4, "seeds": [3]}),
+                   "--jobs", "1", "--output", str(tmp / "panic.json")])
+        assert rc == 3
+        assert json.loads((tmp / "panic.json").read_text())["poset"] == {
+            "poset_id": "rand-n4-s3",
+            "poset": {"elements": ["0", "1", "2", "3"], "covers": [["0", "1"], ["2", "3"]]},
+            "mode": "random",
+            "cap": 1000000,
+        }
 
 
 class TestCoxeterCommand:
@@ -451,6 +496,21 @@ class TestCoxeterCommand:
 
     def test_invalid_type(self, files):
         assert main(["coxeter", "Q9", "export"]) == 2
+
+    @pytest.mark.parametrize("spec", ["A2000", "I2:" + "9" * 5000, "A20000000"],
+                             ids=["A2000", "I2-5000-digits", "A20000000"])
+    def test_huge_type_spec(self, spec):
+        """A group far over the order cap is malformed input, refused before
+        its order is computed: exit 2 and one error line, under a timeout."""
+        src = str(Path(zircons.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for argv in (["coxeter", spec, "export"], ["coxeter", "A2", "fix-check", "--against", spec]):
+            result = subprocess.run([sys.executable, "-m", "zircons.cli", *argv],
+                                    env={**os.environ, "PYTHONPATH": path},
+                                    capture_output=True, text=True, timeout=30)
+            assert result.returncode == 2 and result.stdout == ""
+            assert len(result.stderr.splitlines()) == 1
+            assert result.stderr.startswith("error: ")
 
     def test_dihedral_spec_forms(self, files, capsys):
         """I2:m and I2(m) name the same group; unbalanced brackets are

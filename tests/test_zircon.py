@@ -51,7 +51,7 @@ from zircons import (
 from zircons.cli import main
 from zircons.matchings import DEFAULT_MATCHING_LIMIT, _partner, _special_partners
 from zircons.posets import Poset, PosetMap, automorphisms, is_bounded, poset_from_dict
-from zircons.sweep import _iter_payloads, _proof_step_records, sweep_case
+from zircons.sweep import _iter_posets, _proof_step_records, sweep_case
 from zircons.zircon import _matching_family
 
 
@@ -468,6 +468,7 @@ def test_conjugation_stops_when_the_orbit_closes(corpus_to_5, cube, a3):
                 N, d = phi.order(), len(orbit)
                 assert N % d == 0 and len(set(orbit)) == d and orbit[-1] == tuple(partner)
                 F = matching_family(P, M, phi)
+                assert F.orbit == orbit and len(set(F.orbit)) == d
                 assert F.order == N and F.members == orbit * (N // d)
                 assert list(members(P, F))[:d] == _conjugates(M, phi)[:d]
                 seen.add((N, d))
@@ -664,18 +665,33 @@ class TestChecksRunOnce:
             return real(**fields)
 
         monkeypatch.setattr("zircons.zircon.MatchingFamily", counting)
-        payload = {"poset_id": "cube", "poset": poset_to_dict(cube),
-                   "mode": "exhaustive", "cap": 100}
-        cases = [r for r in sweep_case(payload) if r["check"] == "fixed_point_special"]
+        cases = [r for r in sweep_case("cube", cube, "exhaustive", 100)
+                 if r["check"] == "fixed_point_special"]
         assert cases and all(r["ok"] for r in cases)
         assert len(built) == len(cases)
         assert 3 in built  # the rotations are among the automorphisms
 
+    def test_sweep_walks_the_orbit_once(self, monkeypatch, cube):
+        """Where M's orbit is shorter than the order N of phi, the sweep
+        hands the construction the d distinct conjugates, not N members."""
+        handed = []
+        real = zircons.sweep._fixed_point_matching
+
+        def recording(P, orbit, phi):
+            handed.append((len(orbit), len(set(orbit)), phi.order()))
+            return real(P, orbit, phi)
+
+        monkeypatch.setattr("zircons.sweep._fixed_point_matching", recording)
+        records = sweep_case("cube", cube, "exhaustive", 100)
+        assert all(r["ok"] for r in records)
+        assert len(handed) == len(automorphisms(cube)) * len(enumerate_special_matchings(cube))
+        assert all(d == distinct and order % d == 0 for d, distinct, order in handed)
+        assert any(d < order for d, _, order in handed)
+
     def test_sweep_builds_one_fixed_subposet_per_automorphism(self, monkeypatch, cube):
         built = _count_calls(monkeypatch, "posets", "_induced")
-        payload = {"poset_id": "cube", "poset": poset_to_dict(cube),
-                   "mode": "exhaustive", "cap": 100}
-        cases = [r for r in sweep_case(payload) if r["check"] == "fixed_point_special"]
+        cases = [r for r in sweep_case("cube", cube, "exhaustive", 100)
+                 if r["check"] == "fixed_point_special"]
         assert len(cases) > len(automorphisms(cube)) > 1
         # shared by the fixed_points_zircon check and every construction;
         # the identity's fixed-point subposet is the cube itself
@@ -693,15 +709,30 @@ class TestChecksRunOnce:
         assert maps[0].is_identity() and fixed_point_subposet(cube, maps[0]) is cube
         assert built == [len(cube)] * (len(maps) - 1)
 
+    @pytest.mark.parametrize("spec", ["A3", "B3"])
+    def test_a_descent_matching_at_w0_is_trusted(self, check_calls, spec):
+        """At the longest element the ideal is the whole Bruhat order, and
+        the matching is one of that very poset: ``fixed_point_matching``
+        then checks only its result."""
+        W = build_coxeter(spec)
+        B = W.bruhat_poset()
+        M = descent_matching(W, W.longest_element(), "s1", "right")
+        assert M._source is B
+        phi = twisted_map(W, theta_from_spec(W, "id"))
+        check_calls["special"].clear()
+        check_calls["matching"].clear()
+        fixed_point_matching(B, M, phi)
+        fixed = len(phi.fixed_points())
+        assert check_calls == {"special": [fixed], "matching": [fixed]}
+
     def test_sweep_case_checks_only_the_constructions(self, check_calls, cube):
         """The sweep does not check the matchings its own search found, on
         the cube or anywhere: the checks run once per (automorphism,
         matching) case, on the induced matching of the fixed points."""
         specials = enumerate_special_matchings(cube)
         fixed = [len(phi.fixed_points()) for phi in automorphisms(cube) for _ in specials]
-        payload = {"poset_id": "cube", "poset": poset_to_dict(cube),
-                   "mode": "exhaustive", "cap": 100}
-        cases = [r for r in sweep_case(payload) if r["check"] == "fixed_point_special"]
+        cases = [r for r in sweep_case("cube", cube, "exhaustive", 100)
+                 if r["check"] == "fixed_point_special"]
         assert len(cases) == len(fixed) > 1 and all(r["ok"] for r in cases)
         assert check_calls == {"special": fixed, "matching": fixed}
 
@@ -780,7 +811,7 @@ class TestChecksRunOnce:
         subposets = [fixed_point_subposet(P, phi) for phi in automorphisms(P)
                      if not phi.is_identity()] if zircon else []
         calls = _count_calls(monkeypatch, "zircon", "is_zircon")
-        sweep_case({"poset_id": "p", "poset": poset_to_dict(P), "mode": "exhaustive", "cap": 100})
+        sweep_case("p", P, "exhaustive", 100)
         # once on P, then once on the fixed-point subposet of each
         # non-identity automorphism of a zircon: the identity's is P
         assert calls == [len(P), *map(len, subposets)]
@@ -847,7 +878,9 @@ _NO_EXTREMA = """
 import json, sys
 import zircons.sweep
 zircons.sweep._extrema = lambda P, mask: (-1, -1)  # no element is an extremum
-records = zircons.sweep.sweep_case(json.loads(sys.argv[1]))
+payload = json.loads(sys.argv[1])
+P = zircons.poset_from_dict(payload["poset"])
+records = zircons.sweep.sweep_case(payload["poset_id"], P, payload["mode"], payload["cap"])
 print(json.dumps([r["witness"] for r in records
                   if r["check"] == "fixed_points_extremal" and r["automorphism"] == 0]))
 """
@@ -876,24 +909,23 @@ def test_proof_step_witness_ignores_the_hash_seed(cube):
     assert len(witnesses[0]) == len(enumerate_special_matchings(cube))
 
 
-def _interval_payloads(spec):
-    """``sweep_case`` payloads of every Bruhat interval [u, v], u < v."""
+def _intervals(spec):
+    """Every Bruhat interval [u, v], u < v, with its ``sweep_case`` id."""
     B = build_coxeter(spec).bruhat_poset()
-    return [{"poset_id": f"{u}<{v}", "poset": poset_to_dict(interval(B, u, v)),
-             "mode": "exhaustive", "cap": DEFAULT_MATCHING_LIMIT}
+    return [(f"{u}<{v}", interval(B, u, v))
             for u in B.elements for v in B.elements if u != v and leq(B, u, v)]
 
 
-def _greedy_records(payloads):
+def _greedy_records(posets):
     """Each ``greedy_descend_endpoints`` record of ``sweep_case`` with the
     poset and the matching family it was made from."""
-    for payload in payloads:
-        records = [r for r in sweep_case(payload) if r["check"] == "greedy_descend_endpoints"]
+    for poset_id, P in posets:
+        records = [r for r in sweep_case(poset_id, P, "exhaustive", DEFAULT_MATCHING_LIMIT)
+                   if r["check"] == "greedy_descend_endpoints"]
         if not records:
             continue
-        P = poset_from_dict(payload["poset"])
         maps = automorphisms(P)
-        specials = list(_special_partners(P, (1 << len(P)) - 1, payload["cap"]))
+        specials = list(_special_partners(P, (1 << len(P)) - 1, DEFAULT_MATCHING_LIMIT))
         for rec in records:
             yield P, _matching_family(specials[rec["matching"]], maps[rec["automorphism"]]), rec
 
@@ -907,10 +939,10 @@ def _unmatched_by(P, F, moved, onto):
     """F with the member that pairs ``moved`` with ``onto`` edited to leave
     both unmatched; the components stay as they were."""
     i, j = P.index(moved), P.index(onto)
-    k = next(k for k, member in enumerate(F.members) if member[i] == j)
-    member = list(F.members[k])
+    k = next(k for k, member in enumerate(F.orbit) if member[i] == j)
+    member = list(F.orbit[k])
     member[i], member[j] = i, j
-    return dataclasses.replace(F, members=F.members[:k] + (tuple(member),) + F.members[k + 1:])
+    return dataclasses.replace(F, orbit=F.orbit[:k] + (tuple(member),) + F.orbit[k + 1:])
 
 
 class TestGreedyDescendRecord:
@@ -921,11 +953,11 @@ class TestGreedyDescendRecord:
     @pytest.mark.parametrize("source,count", [("sweep", 32), ("A3", 1518)])
     def test_agrees_with_shuffled_walks(self, source, count):
         if source == "sweep":
-            payloads = _iter_payloads({"mode": "exhaustive", "max_n": 6}, DEFAULT_MATCHING_LIMIT)
+            posets = _iter_posets({"mode": "exhaustive", "max_n": 6})
         else:
-            payloads = _interval_payloads(source)
+            posets = _intervals(source)
         cases = 0
-        for P, F, rec in _greedy_records(payloads):
+        for P, F, rec in _greedy_records(posets):
             ok, witness = shuffled_greedy_endpoints(rec["poset"], P, F, rec["matching"],
                                                     rec["automorphism"])
             assert rec["ok"] == ok
@@ -955,7 +987,8 @@ class TestGreedyDescendRecord:
 def test_theorem_on_the_b3_intervals():
     """The fixed-point theorem and its proof steps on every Bruhat interval
     of B3: 799 intervals, 9276 (matching, automorphism) cases."""
-    records = [r for payload in _interval_payloads("B3") for r in sweep_case(payload)]
+    records = [r for poset_id, P in _intervals("B3")
+               for r in sweep_case(poset_id, P, "exhaustive", DEFAULT_MATCHING_LIMIT)]
     checks = [r["check"] for r in records]
     assert len({r["poset"] for r in records}) == 799
     assert checks.count("fixed_point_special") == checks.count("greedy_descend_endpoints") == 9276
