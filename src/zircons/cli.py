@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="run a corpus sweep manifest")
     p.add_argument("manifest")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes (default: all cores)")
+                   help="worker processes, at most one per core and case (default: all cores)")
     p.add_argument("--cap-matchings", type=int, default=DEFAULT_MATCHING_LIMIT,
                    metavar="K", help="abort enumeration beyond K matchings")
     p.set_defaults(func=cmd_sweep)

@@ -20,7 +20,6 @@ from .posets import (
     PosetError,
     _bits,
     _order,
-    _poset,
     leq,
 )
 
@@ -125,7 +124,7 @@ def _poset_from_masks(below: list[int]) -> Poset:
     n = len(below)
     ids = tuple(map(str, range(n)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if below[j] >> i & 1]
-    return _poset(ids, *_order(ids, pairs))
+    return Poset(ids, *_order(ids, pairs))
 
 
 def enumerate_posets(n: int) -> Iterator[Poset]:
@@ -214,4 +213,4 @@ def random_poset(n: int, seed: int, density: float = 0.3) -> Poset:
     rng = random.Random(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
     ids = tuple(str(i) for i in range(n))
-    return _poset(ids, *_order(ids, pairs))
+    return Poset(ids, *_order(ids, pairs))

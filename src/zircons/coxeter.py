@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .matchings import SpecialMatching, _failing_covers, _is_matching, _special_matching
-from .posets import (Poset, PosetMap, _bits, _check_automorphism, _from_covers, _induced, _map,
+from .posets import (Poset, PosetMap, _bits, _check_automorphism, _from_pairs, _induced, _map,
                      principal_ideal)
 
 __all__ = [
@@ -136,14 +136,14 @@ class CoxeterSystem:
     model to its index. The Bruhat covers come from these tables alone.
     """
 
-    def __init__(self, type_spec: str, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, type_spec: str):
         family, rank = _parse_type_spec(type_spec)
         self.type_spec = f"I2:{rank}" if family == "I2" else f"{family}{rank}"
         self.family = family
         expected = _group_order(family, rank)
-        if expected is None or expected > order_cap:
+        if expected is None or expected > DEFAULT_ORDER_CAP:
             size = expected or f"of more than {_MAX_DIGITS} digits"
-            raise CoxeterError(f"group order {size} exceeds the cap {order_cap}")
+            raise CoxeterError(f"group order {size} exceeds the cap {DEFAULT_ORDER_CAP}")
         self._gen_models = _permutation_model(family, rank)
         self.generators = [f"s{i}" for i in range(1, len(self._gen_models) + 1)]
         self._identity = tuple(range(1, len(self._gen_models[0]) + 1))
@@ -286,14 +286,14 @@ class CoxeterSystem:
                 u = images[i]
                 lower.append([u] + [images[v] for v in lower[u] if not self._lowers(images, v)])
             labels = tuple(el.label for el in self.elements)
-            covers = [(v, w) for w, vs in enumerate(lower) for v in vs]
-            self._bruhat = _from_covers(labels, covers)
+            pairs = [(v, w) for w, vs in enumerate(lower) for v in vs]
+            self._bruhat = _from_pairs(labels, pairs, covers=True)
         return self._bruhat
 
 
-def build_coxeter(type_spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> CoxeterSystem:
+def build_coxeter(type_spec: str) -> CoxeterSystem:
     """Enumerate a finite Coxeter group preset (A_n, B_n, D_n, I2:m)."""
-    return CoxeterSystem(type_spec, order_cap=order_cap)
+    return CoxeterSystem(type_spec)
 
 
 def bruhat_poset(W: CoxeterSystem) -> Poset:

@@ -8,13 +8,16 @@ order: bit ``i`` of the Python int ``_below[j]`` is set iff ``i < j``,
 next to the cover adjacency ``_up``/``_down`` it is the closure of. The
 label views ``covers``, ``minimal_elements`` and ``maximal_elements``
 are derived from the adjacency on each access. Arbitrary-precision ints
-cannot wrap, so the order is exact at every size. An instance's order
-never changes after construction: a ``Poset`` gains no state; a
-``PosetMap`` gains its fixed-point subposet, with no lock: sweeps run in
-worker processes, each on its own pickled copies of the posets, so no
-instance is shared between threads. Only this module writes that state
-or checks a map; the other modules hand it index forms. Only finite posets are representable,
-hence local-finiteness hypotheses hold vacuously throughout.
+cannot wrap, so the order is exact at every size. ``Poset(ids, below,
+covers)`` stores a closure as given; ``build_poset`` is the one
+validator, and the Bruhat order enters it by ``_from_pairs``. An
+instance's order never changes after construction: a ``Poset`` gains no
+state; a ``PosetMap`` gains its fixed-point subposet, with no lock:
+sweeps run in worker processes, each on its own pickled copies of the
+posets, so no instance is shared between threads. Only this module
+writes that state or checks a map; the other modules hand it index
+forms. Only finite posets are representable, hence local-finiteness
+hypotheses hold vacuously throughout.
 """
 
 from __future__ import annotations
@@ -131,52 +134,22 @@ class Poset:
     """Immutable finite poset: ids, cover adjacency, and the strict order
     as bitset rows.
 
-    ``Poset(elements, covers)`` validates like :func:`build_poset` in
-    covers mode; the subposet functions build from a parent's order.
+    ``Poset(ids, below, covers)`` stores distinct string ids, the closed
+    strict-downset rows and the sorted cover index pairs, checking nothing;
+    :func:`build_poset` validates. ``Poset(elements, covers)`` is a TypeError.
     """
 
     __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo")
 
-    def __init__(self, elements: Iterable, covers: Iterable, *, _relations: bool = False):
-        ids = tuple(str(e) for e in elements)
-        index = {e: pos for pos, e in enumerate(ids)}
-        if len(index) != len(ids):
-            dup = next(e for pos, e in enumerate(ids) if index[e] != pos)
-            raise DuplicateElementError(f"duplicate element id {dup!r}")
-        pairs = []
-        for a, b in covers:
-            a, b = str(a), str(b)
-            if a not in index or b not in index:
-                raise UnknownElementError(f"pair ({a!r}, {b!r}) references an unknown id")
-            if a == b:
-                if not _relations:
-                    raise RedundantCoverError(f"element {a!r} cannot cover itself")
-                continue  # reflexive pairs are vacuous as relations
-            pairs.append((index[a], index[b]))
-        self._close(ids, index, pairs, _relations)
-
-    def _close(self, ids: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[int, int]],
-               relations: bool) -> None:
-        """The constructor on index pairs: close the order they generate
-        and, in covers mode, reject the first pair implied by the others."""
-        pairs = sorted(set(pairs))
-        below, reduced = _order(ids, pairs)
-        if not relations and len(reduced) < len(pairs):
-            i, j = min(set(pairs).difference(reduced))
-            raise RedundantCoverError(f"pair ({ids[i]!r}, {ids[j]!r}) is implied by other covers")
-        self._store(ids, index, below, reduced)
-
-    def _store(self, ids: tuple[str, ...], index: dict[str, int], below: list[int],
-               pairs: Sequence[tuple[int, int]]) -> None:
-        """Fill the slots from a closure and its sorted cover pairs."""
+    def __init__(self, ids: tuple[str, ...], below: Sequence[int], covers: Sequence[tuple[int, int]]):
         n = len(ids)
         up: list[list[int]] = [[] for _ in range(n)]
         down: list[list[int]] = [[] for _ in range(n)]
-        for i, j in pairs:
+        for i, j in covers:
             up[i].append(j)
             down[j].append(i)
         self.elements = ids
-        self._index = index
+        self._index = {e: pos for pos, e in enumerate(ids)}
         self._below = tuple(below)
         self._up = tuple(map(tuple, up))
         self._down = tuple(map(tuple, down))
@@ -204,10 +177,6 @@ class Poset:
             for i in component:
                 rank[i] -= base
         return tuple(rank)
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
 
     @property
     def covers(self) -> tuple[tuple[str, str], ...]:
@@ -356,21 +325,34 @@ def build_poset(elements: Sequence, relations: Iterable, mode: str = "covers") -
     """
     if mode not in ("covers", "relations"):
         raise PosetError(f"unknown mode {mode!r}")
-    return Poset(elements, relations, _relations=mode == "relations")
+    ids = tuple(str(e) for e in elements)
+    index = {e: pos for pos, e in enumerate(ids)}
+    if len(index) != len(ids):
+        dup = next(e for pos, e in enumerate(ids) if index[e] != pos)
+        raise DuplicateElementError(f"duplicate element id {dup!r}")
+    pairs = []
+    for a, b in relations:
+        a, b = str(a), str(b)
+        if a not in index or b not in index:
+            raise UnknownElementError(f"pair ({a!r}, {b!r}) references an unknown id")
+        if a == b:
+            if mode == "covers":
+                raise RedundantCoverError(f"element {a!r} cannot cover itself")
+            continue  # reflexive pairs are vacuous as relations
+        pairs.append((index[a], index[b]))
+    return _from_pairs(ids, pairs, covers=mode == "covers")
 
 
-def _poset(ids: tuple[str, ...], below: list[int], pairs: Sequence[tuple[int, int]]) -> Poset:
-    """A subposet from its closure and sorted covers, trusted as given."""
-    P = Poset.__new__(Poset)
-    P._store(ids, {e: pos for pos, e in enumerate(ids)}, below, pairs)
-    return P
-
-
-def _from_covers(ids: tuple[str, ...], pairs: Iterable[tuple[int, int]]) -> Poset:
-    """``build_poset`` in covers mode on distinct ids and index pairs."""
-    P = Poset.__new__(Poset)
-    P._close(ids, {e: pos for pos, e in enumerate(ids)}, pairs, relations=False)
-    return P
+def _from_pairs(ids: tuple[str, ...], pairs: Iterable[tuple[int, int]], covers: bool) -> Poset:
+    """``build_poset`` on distinct ids and index pairs: close the order
+    they generate and, in covers mode, reject the first pair implied by
+    the others."""
+    pairs = sorted(set(pairs))
+    below, reduced = _order(ids, pairs)
+    if covers and len(reduced) < len(pairs):
+        i, j = min(set(pairs).difference(reduced))
+        raise RedundantCoverError(f"pair ({ids[i]!r}, {ids[j]!r}) is implied by other covers")
+    return Poset(ids, below, reduced)
 
 
 def _check_automorphism(P: Poset, perm: Sequence[int]) -> None:
@@ -415,7 +397,7 @@ def _induced(P: Poset, idxs: list[int]) -> Poset:
     rows = [P._below[j] for j in idxs]
     pairs = [(a, b) for a, i in enumerate(idxs) for b, row in enumerate(rows) if row >> i & 1]
     ids = tuple(P.elements[i] for i in idxs)
-    return _poset(ids, *_order(ids, pairs))
+    return Poset(ids, *_order(ids, pairs))
 
 
 def _convex_subposet(P: Poset, idxs: list[int]) -> Poset:
@@ -427,7 +409,7 @@ def _convex_subposet(P: Poset, idxs: list[int]) -> Poset:
     pos = {i: a for a, i in enumerate(idxs)}
     pairs = [(a, pos[j]) for a, i in enumerate(idxs) for j in P._up[i] if j in pos]
     ids = tuple(P.elements[i] for i in idxs)
-    return _poset(ids, _order(ids, pairs)[0], pairs)
+    return Poset(ids, _order(ids, pairs)[0], pairs)
 
 
 def principal_ideal(P: Poset, x) -> Poset:

@@ -297,7 +297,9 @@ def run_sweep(
     jobs: Optional[int] = None,
     cap_matchings: int = DEFAULT_MATCHING_LIMIT,
 ) -> SweepReport:
-    """Run the verification battery over every poset of the manifest.
+    """Run the verification battery over every poset of the manifest on
+    ``min(jobs, cores, cases)`` worker processes, or serially on one, each
+    poset as the corpus yields it.
 
     Raises ManifestError on a malformed manifest, on ``jobs`` below 1 and
     on a negative ``cap_matchings``, and WorkerPanic if any case dies
@@ -305,31 +307,37 @@ def run_sweep(
     reproduction.
     """
     config = validate_manifest(manifest)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    cores = os.cpu_count() or 1
+    jobs = cores if jobs is None else jobs
     if jobs < 1:
         raise ManifestError(f"jobs must be at least 1, not {jobs}")
     if cap_matchings < 0:
         raise ManifestError(f"cap_matchings must be at least 0, not {cap_matchings}")
     started = time.perf_counter()
-    work = [(poset_id, P, config["mode"], cap_matchings) for poset_id, P in _iter_posets(config)]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(work) // (jobs * 4))
+    work = ((poset_id, P, config["mode"], cap_matchings) for poset_id, P in _iter_posets(config))
+    workers = min(jobs, cores)
+    if workers > 1:
+        work = list(work)  # only the pool holds every case at once
+        workers = min(workers, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(work) // (workers * 4))
             results = list(pool.map(_worker, work, chunksize=chunk))
     else:
-        results = [_worker(case) for case in work]
+        results = map(_worker, work)
 
     cases: list[dict] = []
+    posets = 0
     for res in results:
         if "panic" in res:
             raise WorkerPanic(res["panic"], res["poset"])
         cases.extend(res["records"])
+        posets += 1
     cases.sort(key=_sort_key)
 
     by_check = Counter(rec["check"] for rec in cases)
     summary = {
-        "posets": len(work),
+        "posets": posets,
         "records": len(cases),
         "violations": sum(not rec["ok"] for rec in cases),
         "skipped": by_check["theorem_suite_skipped"],

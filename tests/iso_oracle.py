@@ -19,7 +19,7 @@ all of its distinct relabellings.
 from itertools import permutations
 
 from zircons.corpus import _poset_from_masks, enumerate_posets
-from zircons.posets import Poset, _bits, _iso_search, _order, _poset, _signatures
+from zircons.posets import Poset, _bits, _iso_search, _order, _signatures
 
 
 def signatures(P: Poset) -> list[tuple[int, int, int, int, int]]:
@@ -185,4 +185,4 @@ def labelled_posets(n: int):
                 continue
             seen.add(relabeled)
             # relabelling carries covers to covers, so the pairs need no check
-            yield _poset(ids, *_order(ids, sorted(relabeled)))
+            yield Poset(ids, *_order(ids, sorted(relabeled)))

@@ -22,7 +22,7 @@ from zircons import (
     poset_to_dict,
 )
 from zircons.corpus import _poset_from_masks
-from zircons.posets import Poset, PosetMap, _from_covers, _signatures, _sphericity_witness
+from zircons.posets import Poset, PosetMap, _from_pairs, _signatures, _sphericity_witness
 
 
 def _perms(P):
@@ -134,4 +134,4 @@ class TestIndexCore:
     def test_rejects_a_redundant_pair(self):
         """The Bruhat order enters the covers-mode validation as index pairs."""
         with pytest.raises(RedundantCoverError, match="'a', 'c'"):
-            _from_covers(("a", "b", "c"), [(1, 2), (0, 2), (0, 1)])
+            _from_pairs(("a", "b", "c"), [(1, 2), (0, 2), (0, 1)], covers=True)

@@ -20,6 +20,8 @@ from zircons import (
     build_coxeter,
     build_poset,
     enumerate_posets,
+    fix_subgroup_poset,
+    fixed_point_subposet,
     induced_subposet,
     interval,
     is_automorphism,
@@ -33,12 +35,13 @@ from zircons import (
     poset_to_dict,
     poset_to_dot,
     principal_ideal,
+    random_poset,
     rank_function,
     theta_from_spec,
     twisted_map,
 )
 import zircons
-from zircons.posets import PosetMap, _fixed_subposet, _sphericity_witness
+from zircons.posets import Poset, PosetMap, _fixed_subposet, _sphericity_witness
 
 
 def brute_closure(relations):
@@ -105,6 +108,51 @@ class TestBuild:
     def test_covers_mode_rejects_self_cover(self):
         with pytest.raises(RedundantCoverError):
             build_poset([0], [(0, 0)], mode="covers")
+
+
+class TestOneConstructor:
+    """``Poset.__init__`` makes every poset; ``build_poset`` validates."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The posets ``Poset.__init__`` fills, in order."""
+        made = []
+        real_init = Poset.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poset, "__init__", counting)
+        return made
+
+    def test_each_builder_makes_each_result_once(self, made):
+        W = build_coxeter("A3")  # no Bruhat order built yet
+        theta = theta_from_spec(W, "flip")
+        builders = {
+            "build_poset": lambda: [build_poset([0, 1, 2], [(0, 1), (0, 2)])],
+            "relations": lambda: [build_poset([0, 1, 2], [(0, 1), (1, 2), (0, 2)], "relations")],
+            "poset_from_dict": lambda: [poset_from_dict({"elements": ["a", "b"],
+                                                         "covers": [["a", "b"]]})],
+            "bruhat_poset": lambda: [W.bruhat_poset()],
+            "interval": lambda: [interval(W.bruhat_poset(), "s1", "s1.s2.s3")],
+            "principal_ideal": lambda: [principal_ideal(W.bruhat_poset(), "s2.s1.s3")],
+            "induced_subposet": lambda: [induced_subposet(W.bruhat_poset(), ["e", "s1", "s3"])],
+            "fixed_point_subposet": lambda: [fixed_point_subposet(W.bruhat_poset(),
+                                                                  twisted_map(W, theta))],
+            "fix_subgroup_poset": lambda: [fix_subgroup_poset(W, theta)],
+            "enumerate_posets": lambda: list(enumerate_posets(4)),
+            "random_poset": lambda: [random_poset(6, 1)],
+        }
+        for name, build in builders.items():
+            made.clear()
+            results = build()
+            assert [id(P) for P in made] == [id(P) for P in results], name
+        assert not twisted_map(W, theta).is_identity()
+
+    def test_the_label_form_is_gone(self):
+        with pytest.raises(TypeError):
+            Poset(["a", "b"], [("a", "b")])
 
 
 

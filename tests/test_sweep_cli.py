@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import zircons.cli
+import zircons.sweep
 from zircons import build_coxeter, is_zircon, leq
 from zircons.cli import main
 from zircons.sweep import (
@@ -18,6 +19,30 @@ from zircons.sweep import (
     run_sweep,
     validate_manifest,
 )
+
+
+def _fake_pool(monkeypatch, cores: int) -> list:
+    """Pretend the host has ``cores`` cores and replace the sweep's process
+    pool by one that maps in this process; returns the ``max_workers`` of
+    each pool made."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr("zircons.sweep.ProcessPoolExecutor", FakePool)
+    return pools
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +74,8 @@ class TestSweep:
         a["duration_seconds"] = b["duration_seconds"] = 0.0
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_parallel_equals_serial(self, small_report):
+    def test_parallel_equals_serial(self, small_report, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         par = run_sweep({"mode": "exhaustive", "max_n": 4}, jobs=2)
         a, b = small_report.to_dict(), par.to_dict()
         a["duration_seconds"] = b["duration_seconds"] = 0.0
@@ -98,12 +124,54 @@ class TestSweep:
         assert rep.summary["posets"] == 405 and rep.violations == 0
         assert parsed == []
 
-    def test_random_parallel_equals_serial(self):
+    def test_random_parallel_equals_serial(self, monkeypatch):
         """Posets pickled to worker processes give the serial report."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         manifest = {"mode": "random", "n": 7, "seeds": [0, 1, 2, 3], "density": 0.4}
         a, b = (run_sweep(manifest, jobs=jobs).to_dict() for jobs in (1, 2))
         a["duration_seconds"] = b["duration_seconds"] = 0.0
         assert a == b
+
+    @pytest.mark.parametrize("jobs,cores,max_n,workers", [
+        (100_000, 4, 2, 3),  # no more workers than cases
+        (100_000, 4, 4, 4),  # nor than cores
+        (3, 4, 4, 3),
+        (8, 1, 4, None),  # one core: serial, no pool
+        (1, 4, 4, None),
+    ])
+    def test_workers_bounded_by_cores_and_cases(self, monkeypatch, jobs, cores, max_n, workers):
+        """A fake pool records its size and maps in this process."""
+        manifest = {"mode": "exhaustive", "max_n": max_n}
+        pools = _fake_pool(monkeypatch, cores)
+        report = run_sweep(manifest, jobs=jobs).to_dict()
+        assert pools == ([] if workers is None else [workers])
+        serial = run_sweep(manifest, jobs=1).to_dict()
+        report["duration_seconds"] = serial["duration_seconds"] = 0.0
+        assert report == serial
+
+    @pytest.mark.parametrize("jobs,cores", [(1, 2), (4, 1)])
+    def test_serial_sweep_streams_the_corpus(self, monkeypatch, jobs, cores):
+        """Run serially, each case runs as soon as the corpus yields its
+        poset, so the manifest is never held whole."""
+        _fake_pool(monkeypatch, cores)
+        log = []
+        real_iter, real_case = zircons.sweep._iter_posets, zircons.sweep.sweep_case
+
+        def iter_posets(config):
+            for poset_id, P in real_iter(config):
+                log.append(("yield", poset_id))
+                yield poset_id, P
+
+        def case(poset_id, *args):
+            log.append(("run", poset_id))
+            return real_case(poset_id, *args)
+
+        monkeypatch.setattr("zircons.sweep._iter_posets", iter_posets)
+        monkeypatch.setattr("zircons.sweep.sweep_case", case)
+        report = run_sweep({"mode": "exhaustive", "max_n": 3}, jobs=jobs)
+        ids = [poset_id for step, poset_id in log if step == "yield"]
+        assert len(ids) == report.summary["posets"] == 8  # 1 + 2 + 5
+        assert log == [(step, poset_id) for poset_id in ids for step in ("yield", "run")]
 
     def test_tiny_matching_cap_reports_truncation(self):
         rep = run_sweep({"mode": "exhaustive", "max_n": 4}, jobs=1, cap_matchings=1)
@@ -331,6 +399,14 @@ class TestSweepCommand:
         assert main(["sweep", manifest, flag, value, "--output", str(out)]) == 2
         assert "must be at least" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_jobs_starts_no_more_workers_than_cores(self, files, monkeypatch):
+        tmp, write = files
+        pools = _fake_pool(monkeypatch, 2)
+        manifest = write("man.json", {"mode": "exhaustive", "max_n": 3})
+        assert main(["sweep", manifest, "--jobs", "100000", "--output", str(tmp / "s.json")]) == 0
+        assert pools == [2]
+        assert json.loads((tmp / "s.json").read_text())["summary"]["posets"] == 8
 
     def test_worker_panic_exits_3(self, files, monkeypatch):
         tmp, write = files

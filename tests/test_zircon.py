@@ -790,13 +790,13 @@ class TestChecksRunOnce:
         B = W.bruhat_poset()
         twisted = fixed_point_subposet(B, twisted_map(W, theta_from_spec(W, "id")))
         stored = []
-        real_store = Poset._store
+        real_init = Poset.__init__
 
         def counting(self, ids, *args):
             stored.append(len(ids))
-            real_store(self, ids, *args)
+            real_init(self, ids, *args)
 
-        monkeypatch.setattr(Poset, "_store", counting)
+        monkeypatch.setattr(Poset, "__init__", counting)
         assert is_zircon(B) and is_zircon(twisted)
         assert stored == []
 
