@@ -14,10 +14,10 @@ vs above each lower cover v of ws.
 
 Inside the module an element is its index in ``CoxeterSystem.elements``,
 which is also its index in the Bruhat poset. Models are multiplied only
-in the breadth-first pass, for the inverses and for the Coxeter matrix;
-from then on the Bruhat covers, descent matchings, diagram automorphisms
-and twisted maps read the generator tables and the inverse map as index
-lists, and labels are made only for results, witnesses and errors.
+in the breadth-first pass, and are not kept: the inverse map and the
+Coxeter matrix are read off the generator tables, and so are the Bruhat
+covers, descent matchings, diagram automorphisms and twisted maps.
+Labels are made only for results, witnesses and errors.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ __all__ = [
     "build_coxeter",
     "bruhat_poset",
     "descent_matching",
-    "diagram_automorphism",
     "theta_from_spec",
     "twisted_map",
     "twisted_involutions",
     "fix_subgroup_poset",
-    "DEFAULT_ORDER_CAP",
 ]
 
 DEFAULT_ORDER_CAP = 50_000
@@ -60,9 +58,8 @@ class CoxeterError(ValueError):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One group element: permutation model, length, canonical reduced word."""
+    """One group element: its length, ShortLex-least reduced word and label."""
 
-    model: tuple
     length: int
     word: tuple[int, ...]
     label: str
@@ -125,15 +122,16 @@ def _permutation_model(family: str, rank: int) -> list[tuple[int, ...]]:
 
 
 class CoxeterSystem:
-    """A fully enumerated finite Coxeter group of type A, B, D, or I2,
-    its elements modelled as permutations of the points 1..d.
+    """A fully enumerated finite Coxeter group of type A, B, D, or I2.
 
     Element i is ``elements[i]``, in (length, word) order. The generator
     action is tabulated once, as index lists: ``_right[k][i]`` is the
     index of w_i s_{k+1}, filled by the breadth-first pass, and
     ``_left[k][i]`` that of s_{k+1} w_i, read off ``_right`` through the
-    inverse; ``_inverse[i]`` is the index of w_i^-1 and ``_index`` maps a
-    model to its index. The Bruhat covers come from these tables alone.
+    inverse; ``_inverse[i]`` is the index of w_i^-1 and ``_by_label``
+    maps a label to its index. The permutation models are multiplied only
+    in ``__init__`` and not kept: the Bruhat covers and everything after
+    them come from these tables alone.
     """
 
     def __init__(self, type_spec: str):
@@ -144,71 +142,51 @@ class CoxeterSystem:
         if expected is None or expected > DEFAULT_ORDER_CAP:
             size = expected or f"of more than {_MAX_DIGITS} digits"
             raise CoxeterError(f"group order {size} exceeds the cap {DEFAULT_ORDER_CAP}")
-        self._gen_models = _permutation_model(family, rank)
-        self.generators = [f"s{i}" for i in range(1, len(self._gen_models) + 1)]
-        self._identity = tuple(range(1, len(self._gen_models[0]) + 1))
+        gens = _permutation_model(family, rank)
+        self.generators = [f"s{i}" for i in range(1, len(gens) + 1)]
 
         # One breadth-first pass, multiplying on the right by s1, s2, ... in
         # turn. ShortLex-least reduced words are prefix-closed, so each
         # element is first reached along its own word, and the elements
-        # arrive in (length, word) order.
-        self._index = {self._identity: 0}
-        models, words = [self._identity], [()]
-        self._right: list[list[int]] = [[] for _ in self._gen_models]
+        # arrive in (length, word) order. A model is the tuple of images of
+        # the points 1..d, and (w g)(x) = w(g(x)).
+        identity = tuple(range(1, len(gens[0]) + 1))
+        index, models, words = {identity: 0}, [identity], [()]
+        self._right: list[list[int]] = [[] for _ in gens]
         for i, w in enumerate(models):  # models grows while it is walked
-            for k, g in enumerate(self._gen_models):
-                v = self.mul(w, g)
-                if v not in self._index:
-                    self._index[v] = len(models)
+            for k, g in enumerate(gens):
+                v = tuple([w[x - 1] for x in g])  # a list builds faster than a generator
+                if v not in index:
+                    index[v] = len(models)
                     models.append(v)
                     words.append(words[i] + (k + 1,))
-                self._right[k].append(self._index[v])
+                self._right[k].append(index[v])
         if len(models) != expected:
             raise CoxeterError(
                 f"model enumeration produced {len(models)} elements, expected {expected}"
             )
         self.elements = [
-            GroupElement(w, len(word), word, ".".join(f"s{i}" for i in word) or "e")
-            for w, word in zip(models, words)
+            GroupElement(len(word), word, ".".join(f"s{i}" for i in word) or "e") for word in words
         ]
-        self._by_label = {el.label: el for el in self.elements}
-        self._inverse = [self._index[self.inv(w)] for w in models]
+        self._by_label = {el.label: i for i, el in enumerate(self.elements)}
+        self._inverse = []
+        for word in words:  # w^-1 is the product of w's word reversed
+            j = 0
+            for k in reversed(word):
+                j = self._right[k - 1][j]
+            self._inverse.append(j)
         # s w = (w^-1 s)^-1
         self._left = [[self._inverse[images[j]] for j in self._inverse] for images in self._right]
 
-        n = len(self.generators)
-        self.coxeter_matrix = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                self.coxeter_matrix[i][j] = self._product_order(
-                    self._gen_models[i], self._gen_models[j]
-                )
+        def order(a: list[int], b: list[int]) -> int:
+            """The order of s t, for the tables a of s and b of t."""
+            w, m = b[a[0]], 1
+            while w:
+                w, m = b[a[w]], m + 1
+            return m
+
+        self.coxeter_matrix = [[order(a, b) for b in self._right] for a in self._right]
         self._bruhat: Optional[Poset] = None
-
-    # -- permutation arithmetic ---------------------------------------------
-
-    def identity_model(self) -> tuple:
-        return self._identity
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        """Compose models: (a*b)(x) = a(b(x))."""
-        return tuple([a[v - 1] for v in b])  # a list builds faster than a generator
-
-    def inv(self, a: tuple) -> tuple:
-        out = [0] * len(a)
-        for i, v in enumerate(a, start=1):
-            out[v - 1] = i
-        return tuple(out)
-
-    def _product_order(self, a: tuple, b: tuple) -> int:
-        prod = self.mul(a, b)
-        acc = prod
-        order = 1
-        e = self.identity_model()
-        while acc != e:
-            acc = self.mul(acc, prod)
-            order += 1
-        return order
 
     # -- element access -------------------------------------------------------
 
@@ -216,23 +194,15 @@ class CoxeterSystem:
         return len(self.elements)
 
     def element(self, key) -> GroupElement:
-        """Look up by label, model tuple, or pass-through GroupElement."""
-        if isinstance(key, GroupElement):
-            return key
-        if isinstance(key, str):
-            if key not in self._by_label:
-                raise CoxeterError(f"unknown element label {key!r}")
-            return self._by_label[key]
-        if isinstance(key, tuple) and key in self._index:
-            return self.elements[self._index[key]]
-        raise CoxeterError(f"unknown element {key!r}")
+        """Look up by label or by GroupElement."""
+        return self.elements[self._position(key)]
 
     def _position(self, key) -> int:
-        """The index of ``element(key)``."""
-        return self._index[self.element(key).model]
-
-    def length(self, key) -> int:
-        return self.element(key).length
+        """The index of the element with this label, or of this GroupElement."""
+        label = key.label if isinstance(key, GroupElement) else key
+        if not isinstance(label, str) or label not in self._by_label:
+            raise CoxeterError(f"unknown element {key!r}")
+        return self._by_label[label]
 
     def gen_index(self, s) -> int:
         """1-based index of a generator given as 's3' or 3."""
@@ -246,9 +216,6 @@ class CoxeterSystem:
         if not 1 <= i <= len(self.generators):
             raise CoxeterError(f"generator index {i} out of range")
         return i
-
-    def gen_model(self, s) -> tuple:
-        return self._gen_models[self.gen_index(s) - 1]
 
     def _table(self, side: str) -> list[list[int]]:
         return self._right if side == "right" else self._left
@@ -429,22 +396,9 @@ class DiagramAutomorphism:
                 if self._perm[images[i]] != right[image[k]][j]:
                     raise CoxeterError("letterwise extension is not a homomorphism; model bug")
 
-    def apply_model(self, model: tuple) -> tuple:
-        return self.system.elements[self._perm[self.system._index[model]]].model
-
-    def apply_label(self, label: str) -> str:
-        return self.system.elements[self._perm[self.system._position(label)]].label
-
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self.generator_map.items())
-
     def __repr__(self) -> str:
         moved = {k: v for k, v in self.generator_map.items() if k != v}
         return f"DiagramAutomorphism({self.system.type_spec}, {moved or 'id'})"
-
-
-def diagram_automorphism(W: CoxeterSystem, perm: Mapping[str, str]) -> DiagramAutomorphism:
-    return DiagramAutomorphism(W, perm)
 
 
 def theta_from_spec(W: CoxeterSystem, spec: str) -> DiagramAutomorphism:
@@ -465,8 +419,10 @@ def theta_from_spec(W: CoxeterSystem, spec: str) -> DiagramAutomorphism:
     for chunk in spec.split(","):
         if ":" not in chunk:
             raise CoxeterError(f"bad map entry {chunk!r} (want s1:s3)")
-        k, v = chunk.split(":", 1)
-        perm[k.strip()] = v.strip()
+        k, v = (part.strip() for part in chunk.split(":", 1))
+        if k in perm:
+            raise CoxeterError(f"generator {k!r} is mapped twice")
+        perm[k] = v
     return DiagramAutomorphism(W, perm)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "has_special_matching",
     "verify_lifting",
     "matching_pairs",
-    "matching_to_dict",
     "matching_from_dict",
 ]
 
@@ -60,7 +59,6 @@ class Verdict:
 
     ok: bool
     witness: Optional[tuple[str, str]] = None
-    reason: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
@@ -157,7 +155,7 @@ def is_special(P: Poset, M: Mapping) -> Verdict:
     if partner is None:
         raise MatchingError("input is not a matching on the poset")
     for p, q in _failing_covers(P, partner):  # the first one, if any
-        return Verdict(False, (P.elements[p], P.elements[q]), "M(p) != q and not M(p) < M(q)")
+        return Verdict(False, (P.elements[p], P.elements[q]))
     return Verdict(True)
 
 
@@ -257,10 +255,9 @@ def _lifting(P: Poset, partner: Sequence[int]) -> Verdict:
         if below[yi] >> my & 1:  # M(y) < y
             for xi in _bits(below[yi]):
                 mx = partner[xi]
-                if not (mx == yi or below[yi] >> mx & 1):
-                    return Verdict(False, (labels[xi], labels[yi]), "M(x) not <= y")
-                if below[xi] >> mx & 1 and not below[my] >> mx & 1:
-                    return Verdict(False, (labels[xi], labels[yi]), "M(x) < x but not M(x) < M(y)")
+                if (not (mx == yi or below[yi] >> mx & 1)  # (i)
+                        or below[xi] >> mx & 1 and not below[my] >> mx & 1):  # (ii)
+                    return Verdict(False, (labels[xi], labels[yi]))
     return Verdict(True)
 
 
@@ -279,10 +276,6 @@ def verify_lifting(P: Poset, M: Mapping) -> Verdict:
 def matching_pairs(M: Mapping) -> list[list[str]]:
     """Each unordered pair once, lexicographically sorted."""
     return sorted([a, b] for a, b in {tuple(sorted((str(k), str(v)))) for k, v in M.items()})
-
-
-def matching_to_dict(M: Mapping) -> dict:
-    return {"pairs": matching_pairs(M)}
 
 
 def matching_from_dict(obj: Mapping) -> dict[str, str]:

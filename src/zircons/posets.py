@@ -42,14 +42,12 @@ __all__ = [
     "rank_function",
     "mobius",
     "automorphisms",
-    "is_automorphism",
     "induced_subposet",
     "are_isomorphic",
     "is_bounded",
     "poset_to_dict",
     "poset_from_dict",
     "poset_to_dot",
-    "map_to_dict",
     "map_from_dict",
 ]
 
@@ -254,34 +252,6 @@ class PosetMap:
 
     def __call__(self, x) -> str:
         return self.source.elements[self._perm[self.source.index(x)]]
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self._perm))
-
-    def inverse(self) -> "PosetMap":
-        inv = [0] * len(self._perm)
-        for i, j in enumerate(self._perm):
-            inv[j] = i
-        return _map(self.source, inv)
-
-    def compose(self, other: "PosetMap") -> "PosetMap":
-        """self after other (apply ``other`` first)."""
-        if other.source is not self.source and other.source != self.source:
-            raise NotAutomorphismError("composition requires maps on the same poset")
-        return _map(self.source, [self._perm[j] for j in other._perm])
-
-    def power(self, k: int) -> "PosetMap":
-        n = len(self._perm)
-        if k < 0:
-            return self.inverse().power(-k)
-        result = tuple(range(n))
-        base = self._perm
-        while k:
-            if k & 1:
-                result = tuple(base[i] for i in result)
-            base = tuple(base[i] for i in base)
-            k >>= 1
-        return _map(self.source, result)
 
     def order(self) -> int:
         """Multiplicative order, the lcm of the cycle lengths."""
@@ -593,19 +563,6 @@ def automorphisms(P: Poset) -> list[PosetMap]:
     return [_map(P, perm) for perm in perms]
 
 
-def is_automorphism(P: Poset, f: Mapping) -> bool:
-    """True iff f is a bijective self-map preserving <= in both directions."""
-    mapping = {str(k): str(v) for k, v in f.items()}
-    for k, v in mapping.items():
-        if k not in P._index or v not in P._index:
-            raise UnknownElementError("map references unknown ids")
-    try:
-        PosetMap(P, mapping)
-    except NotAutomorphismError:
-        return False
-    return True
-
-
 def are_isomorphic(P: Poset, Q: Poset) -> Optional[dict[str, str]]:
     """An order isomorphism P -> Q as a dict, or None."""
     perms = _iso_search(P, Q, find_all=False)
@@ -632,11 +589,6 @@ def poset_from_dict(obj: Mapping) -> Poset:
             and all(isinstance(pair, list) and len(pair) == 2 for pair in covers)):
         raise PosetError('poset JSON needs an "elements" list and a "covers" list of id pairs')
     return build_poset(elements, covers, mode="covers")
-
-
-def map_to_dict(f: PosetMap | Mapping) -> dict:
-    image = f.image if isinstance(f, PosetMap) else {str(k): str(v) for k, v in f.items()}
-    return {"map": dict(sorted(image.items()))}
 
 
 def map_from_dict(obj: Mapping) -> dict[str, str]:

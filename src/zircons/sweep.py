@@ -80,15 +80,6 @@ class SweepReport:
             "duration_seconds": self.duration_seconds,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SweepReport":
-        return cls(
-            config=obj["config"],
-            cases=obj["cases"],
-            summary=obj["summary"],
-            duration_seconds=obj["duration_seconds"],
-        )
-
 
 def _is_int(value) -> bool:
     """JSON integer; ``bool`` is an ``int`` subclass but not a number here."""

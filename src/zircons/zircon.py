@@ -64,7 +64,6 @@ __all__ = [
     "MatchingFamily",
     "is_zircon",
     "is_zircon_ranked",
-    "definitions_agree",
     "matching_family",
     "orbit_component",
     "component_extrema",
@@ -158,12 +157,6 @@ def is_zircon_ranked(P: Poset) -> bool:
     """Ranked variant of the zircon condition: a rank function must exist
     and every non-trivial principal ideal must have a special matching."""
     return P._rank is not None and is_zircon(P)
-
-
-def definitions_agree(P: Poset) -> bool:
-    """Regression oracle: the two zircon definitions are provably the same
-    class, so this must always return True. It says: every zircon is ranked."""
-    return not is_zircon(P) or P._rank is not None
 
 
 def _as_poset_map(P: Poset, f) -> PosetMap:

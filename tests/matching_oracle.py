@@ -106,7 +106,9 @@ def family_fixed_point_matching(P: Poset, partner, phi: PosetMap) -> dict[str, s
     is checked by the label-level ``is_special`` on the fixed-point
     subposet. ``partner`` is any map of P to itself in index form.
     """
-    n, perm, inverse = len(P), phi._perm, phi.inverse()._perm
+    n, perm, inverse = len(P), phi._perm, [0] * len(P)
+    for i, j in enumerate(perm):
+        inverse[j] = i
     members = []
     for _ in range(phi.order()):
         partner = tuple(perm[partner[j]] for j in inverse)

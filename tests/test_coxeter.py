@@ -2,14 +2,15 @@ import json
 
 import pytest
 
+import coxeter_oracle as oracle
 from zircons import (
     CoxeterError,
+    DiagramAutomorphism,
     NotAutomorphismError,
     are_isomorphic,
     build_coxeter,
     build_poset,
     descent_matching,
-    diagram_automorphism,
     fix_subgroup_poset,
     fixed_point_matching,
     has_special_matching,
@@ -30,21 +31,10 @@ from zircons.posets import PosetMap, induced_subposet
 TRIALITY = "s1:s2,s2:s4,s4:s1"
 
 
-def _distances(W):
-    """Cayley-graph distances from the identity, by a fresh breadth-first
-    search over generator multiplication, keyed by model."""
-    dist = {W.identity_model(): 0}
-    frontier = [W.identity_model()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for name in W.generators:
-                v = W.mul(w, W.gen_model(name))
-                if v not in dist:
-                    dist[v] = dist[w] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _apply(theta, label):
+    """theta on one element, by its index table."""
+    W = theta.system
+    return W.elements[theta._perm[W._position(label)]].label
 
 
 class TestBuild:
@@ -68,17 +58,18 @@ class TestBuild:
         assert W.longest_element().length == max_len
 
     def test_lengths_are_bfs_distances(self, b2):
-        dist = _distances(b2)
-        for el in b2.elements:
-            assert el.length == dist[el.model]
+        dist = oracle.distances(b2)
+        assert len(dist) == len(b2)
+        for el, model in zip(b2.elements, oracle.models(b2)):
+            assert el.length == dist[model]
 
     def test_words_multiply_out_and_are_reduced(self, a3):
-        for el in a3.elements:
-            acc = a3.identity_model()
-            for i in el.word:
-                acc = a3.mul(acc, a3.gen_model(i))
-            assert acc == el.model
-            assert len(el.word) == el.length
+        """The words multiply out to distinct elements, each word as long
+        as its element's distance from the identity."""
+        dist = oracle.distances(a3)
+        assert len(oracle.index(a3)) == len(a3)
+        for el, model in zip(a3.elements, oracle.models(a3)):
+            assert len(el.word) == el.length == dist[model]
 
     @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "I2:5"])
     def test_labels_are_shortlex_least(self, spec):
@@ -86,23 +77,23 @@ class TestBuild:
         of length l(w) that multiply out to w, and the elements come in
         (length, word) order."""
         W = build_coxeter(spec)
-        gens = [W.gen_model(name) for name in W.generators]
-        dist = _distances(W)
+        gens = oracle.generators(W)
+        dist = oracle.distances(W)
         # A word of length l(w) that multiplies out to w has only prefixes
         # of full length, so the walk below drops no candidate word. It
         # visits the words of each length in lexicographic order.
         least = {}
-        stack = [((), W.identity_model())]
+        stack = [((), oracle.identity(W))]
         while stack:
             word, model = stack.pop()
             least.setdefault(model, word)
             for k in reversed(range(len(gens))):
-                v = W.mul(model, gens[k])
+                v = oracle.mul(model, gens[k])
                 if dist[v] == len(word) + 1:
                     stack.append((word + (k + 1,), v))
         assert len(least) == len(W)
-        for el in W.elements:
-            assert el.word == least[el.model] and el.length == dist[el.model]
+        for el, model in zip(W.elements, oracle.models(W)):
+            assert el.word == least[model] and el.length == dist[model]
             assert el.label == (".".join(f"s{i}" for i in el.word) or "e")
         keys = [(el.length, el.word) for el in W.elements]
         assert keys == sorted(keys)
@@ -120,12 +111,25 @@ class TestBuild:
         ]
         for m in range(2, 9):
             assert build_coxeter(f"I2:{m}").coxeter_matrix == [[1, m], [m, 1]]
+        for spec in ("A5", "B4", "D5", "I2:7"):
+            W = build_coxeter(spec)
+            gens = oracle.generators(W)
+            assert W.coxeter_matrix == [[oracle.product_order(a, b) for b in gens] for a in gens]
 
     @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "I2:6"])
     def test_inverse(self, spec):
         W = build_coxeter(spec)
-        for el in W.elements:
-            assert W.mul(W.inv(el.model), el.model) == W.identity_model()
+        models = oracle.models(W)
+        for i, model in zip(W._inverse, models):
+            assert oracle.mul(models[i], model) == oracle.identity(W)
+
+    def test_elements_are_looked_up_by_label(self, a3, b2):
+        w = a3.element("s1.s2.s3")
+        assert a3.element(w) is w and a3.elements[a3._position(w)] is w
+        # a model tuple is no key: after the build an element is its index
+        for key in ("s4", b2.longest_element(), (2, 1, 3, 4)):
+            with pytest.raises(CoxeterError, match="unknown element"):
+                a3.element(key)
 
     def test_invalid_specs(self):
         for bad in ("Z3", "A0", "I2:1", "B1", ""):
@@ -144,12 +148,11 @@ class TestBuild:
             build_coxeter("I2:" + "9" * 5000)
 
     def test_left_right_multiplication_commute(self, b2):
-        for name_s in b2.generators:
-            s = b2.gen_model(name_s)
-            for name_t in b2.generators:
-                t = b2.gen_model(name_t)
-                for el in b2.elements:
-                    assert b2.mul(s, b2.mul(el.model, t)) == b2.mul(b2.mul(s, el.model), t)
+        """s (w t) = (s w) t, read off the tables."""
+        for left in b2._left:
+            for right in b2._right:
+                for i in range(len(b2)):
+                    assert left[right[i]] == right[left[i]]
 
 
 class TestBruhat:
@@ -194,13 +197,13 @@ class TestBruhat:
         """v is covered by w exactly when v = w t for a reflection t, a
         conjugate w s w^-1 of a generator, and l(v) = l(w) - 1."""
         W = build_coxeter(spec)
-        gens = [W.gen_model(name) for name in W.generators]
-        reflections = {W.mul(W.mul(el.model, g), W.inv(el.model))
-                       for el in W.elements for g in gens}
+        models, index = oracle.models(W), oracle.index(W)
+        reflections = {oracle.mul(oracle.mul(w, g), oracle.inv(w))
+                       for w in models for g in oracle.generators(W)}
         covers = set()
-        for w in W.elements:
+        for w, model in zip(W.elements, models):
             for t in reflections:
-                v = W.element(W.mul(w.model, t))
+                v = W.elements[index[oracle.mul(model, t)]]
                 if v.length == w.length - 1:
                     covers.add((v.label, w.label))
         assert set(W.bruhat_poset().covers) == covers
@@ -257,8 +260,9 @@ def _swap_s1_s2(W, monkeypatch):
 
 def _s1_multiplies_by(W, monkeypatch, model):
     """Rebuild the tables of s1 from another group element's model."""
-    right = [W._index[W.mul(el.model, model)] for el in W.elements]
-    left = [W._index[W.mul(model, el.model)] for el in W.elements]
+    models, index = oracle.models(W), oracle.index(W)
+    right = [index[oracle.mul(w, model)] for w in models]
+    left = [index[oracle.mul(model, w)] for w in models]
     monkeypatch.setattr(W, "_right", [right] + W._right[1:])
     monkeypatch.setattr(W, "_left", [left] + W._left[1:])
 
@@ -267,14 +271,14 @@ def _s1_as_a_reflection(W, monkeypatch):
     """s1 multiplies by the reflection s_j s1 s_j for a neighbour s_j in the
     diagram, which has length 3 and is not a simple one."""
     j = next(j for j, m in enumerate(W.coxeter_matrix[0]) if m >= 3)
-    s1, sj = W.gen_model(1), W.gen_model(j + 1)
-    _s1_multiplies_by(W, monkeypatch, W.mul(W.mul(sj, s1), sj))
+    gens = oracle.generators(W)
+    _s1_multiplies_by(W, monkeypatch, oracle.mul(oracle.mul(gens[j], gens[0]), gens[j]))
 
 
 def _s1_s2_swapped_in_lookup(W, monkeypatch):
     """Looking up a product finds s2 for s1 and s1 for s2: the descent maps
     stay along Hasse edges but stop being involutions."""
-    i, j = W._index[W.gen_model("s1")], W._index[W.gen_model("s2")]
+    i, j = W._position("s1"), W._position("s2")
     swap = {i: j, j: i}
     for name in ("_right", "_left"):
         tables = [[swap.get(x, x) for x in images] for images in getattr(W, name)]
@@ -285,15 +289,16 @@ def _s1_as_a_rotation(W, monkeypatch):
     """s1 multiplies by s1 s_j for a neighbour s_j in the diagram, an element
     of even length that is not an involution."""
     j = next(j for j, m in enumerate(W.coxeter_matrix[0]) if m >= 3)
-    _s1_multiplies_by(W, monkeypatch, W.mul(W.gen_model(1), W.gen_model(j + 1)))
+    gens = oracle.generators(W)
+    _s1_multiplies_by(W, monkeypatch, oracle.mul(gens[0], gens[j]))
 
 
 def _weak_order_as_bruhat(W, monkeypatch):
     """The right weak order in place of the Bruhat order."""
     covers = []
-    for el in W.elements:
-        for g in W._gen_models:
-            up = W.element(W.mul(el.model, g))
+    for i, el in enumerate(W.elements):
+        for images in W._right:
+            up = W.elements[images[i]]
             if up.length > el.length:
                 covers.append((el.label, up.label))
     weak = build_poset([el.label for el in W.elements], covers)
@@ -408,48 +413,47 @@ class TestDescentPass:
     @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "I2:6"])
     def test_tables_follow_multiplication(self, spec):
         W = build_coxeter(spec)
-        for name, right, left in zip(W.generators, W._right, W._left):
-            g = W.gen_model(name)
+        models, index, dist = oracle.models(W), oracle.index(W), oracle.distances(W)
+        for name, right, left, g in zip(W.generators, W._right, W._left, oracle.generators(W)):
             for i, el in enumerate(W.elements):
-                ws, sw = W.mul(el.model, g), W.mul(g, el.model)
-                assert W.elements[right[i]].model == ws
-                assert W.elements[left[i]].model == sw
-                assert (name in W.right_descents(el)) == (W.length(ws) < el.length)
-                assert (name in W.left_descents(el)) == (W.length(sw) < el.length)
-        for el, inverse in zip(W.elements, W._inverse):
-            assert W.elements[inverse].model == W.inv(el.model)
+                ws, sw = oracle.mul(models[i], g), oracle.mul(g, models[i])
+                assert right[i] == index[ws] and left[i] == index[sw]
+                assert (name in W.right_descents(el)) == (dist[ws] < el.length)
+                assert (name in W.left_descents(el)) == (dist[sw] < el.length)
+        assert W._inverse == [index[oracle.inv(w)] for w in models]
 
 
 class TestDiagramAutomorphism:
     def test_identity_always_valid(self, b2):
-        theta = diagram_automorphism(b2, {})
-        assert theta.is_identity()
+        theta = DiagramAutomorphism(b2, {})
+        assert theta.generator_map == {"s1": "s1", "s2": "s2"}
+        assert theta._perm == list(range(len(b2)))
 
     def test_a3_flip_valid(self, a3):
-        theta = diagram_automorphism(a3, {"s1": "s3", "s3": "s1"})
+        theta = DiagramAutomorphism(a3, {"s1": "s3", "s3": "s1"})
         assert theta.generator_map["s2"] == "s2"
-        assert theta.apply_label("s1") == "s3"
+        assert _apply(theta, "s1") == "s3"
 
     def test_b2_swap_valid(self, b2):
-        theta = diagram_automorphism(b2, {"s1": "s2", "s2": "s1"})
-        assert theta.apply_label("s1.s2.s1") == "s2.s1.s2"
+        theta = DiagramAutomorphism(b2, {"s1": "s2", "s2": "s1"})
+        assert _apply(theta, "s1.s2.s1") == "s2.s1.s2"
 
     def test_b3_swap_invalid(self):
         W = build_coxeter("B3")
         with pytest.raises(CoxeterError):
-            diagram_automorphism(W, {"s1": "s2", "s2": "s1"})
+            DiagramAutomorphism(W, {"s1": "s2", "s2": "s1"})
         with pytest.raises(CoxeterError):
             theta_from_spec(W, "flip")
 
     def test_non_involution_rejected(self, a3):
         with pytest.raises(CoxeterError):
-            diagram_automorphism(a3, {"s1": "s2", "s2": "s3", "s3": "s1"})
+            DiagramAutomorphism(a3, {"s1": "s2", "s2": "s3", "s3": "s1"})
 
     def test_d4_triality(self):
         # not an involution, so only the twisted map rejects it
         W = build_coxeter("D4")
         theta = theta_from_spec(W, TRIALITY)
-        assert [theta.apply_label(s) for s in ("s1", "s2", "s3", "s4")] == ["s2", "s4", "s3", "s1"]
+        assert [_apply(theta, s) for s in ("s1", "s2", "s3", "s4")] == ["s2", "s4", "s3", "s1"]
         fixed = fix_subgroup_poset(W, theta)
         assert len(fixed) == 12 and is_zircon(fixed)
         with pytest.raises(CoxeterError, match="involutive"):
@@ -459,7 +463,7 @@ class TestDiagramAutomorphism:
         W = build_coxeter("D4")
         theta = theta_from_spec(W, TRIALITY)
         B = W.bruhat_poset()
-        phi = PosetMap(B, {x: theta.apply_label(x) for x in B.elements})
+        phi = PosetMap(B, {x: _apply(theta, x) for x in B.elements})
         M = descent_matching(W, W.longest_element(), "s3", "right")
         assert phi.order() == 3
         assert len(fixed_point_matching(B, M, phi)) == 12
@@ -470,15 +474,21 @@ class TestDiagramAutomorphism:
         with pytest.raises(CoxeterError):
             theta_from_spec(a3, "s1=s3")
 
+    @pytest.mark.parametrize("spec", ["s1:s3,s3:s1,s1:s1,s3:s3", "s1:s3,s1:s1", "s2:s2, s2 :s2"])
+    def test_a_generator_mapped_twice_is_rejected(self, a3, spec):
+        with pytest.raises(CoxeterError, match="mapped twice"):
+            theta_from_spec(a3, spec)
+
     def test_group_homomorphism(self, a3):
+        """theta(w s) = theta(w) theta(s), on the models."""
         theta = theta_from_spec(a3, "flip")
-        for el in a3.elements:
-            for s in a3.generators:
-                lhs = theta.apply_model(a3.mul(el.model, a3.gen_model(s)))
-                rhs = a3.mul(
-                    theta.apply_model(el.model),
-                    a3.gen_model(theta.generator_map[s]),
-                )
+        models, index = oracle.models(a3), oracle.index(a3)
+        gens = oracle.generators(a3)
+        image = [models[j] for j in theta._perm]
+        for i, model in enumerate(models):
+            for k, s in enumerate(a3.generators):
+                lhs = image[index[oracle.mul(model, gens[k])]]
+                rhs = oracle.mul(image[i], gens[a3.gen_index(theta.generator_map[s]) - 1])
                 assert lhs == rhs
 
 
@@ -502,8 +512,8 @@ class TestTwisted:
         def brute(W):
             return {
                 el.label
-                for el in W.elements
-                if W.mul(el.model, el.model) == W.identity_model()
+                for el, w in zip(W.elements, oracle.models(W))
+                if oracle.mul(w, w) == oracle.identity(W)
             }
 
         assert {el.label for el in twisted_involutions(a2, theta_from_spec(a2, "id"))} == brute(a2)

@@ -91,7 +91,7 @@ class TestScale:
         B = build_coxeter(type_spec).bruhat_poset()
         maps = automorphisms(B)
         assert len(maps) == count
-        assert len({f._perm for f in maps}) == count and maps[0].is_identity()
+        assert len({f._perm for f in maps}) == count and maps[0].order() == 1
 
     def test_long_chain(self):
         """The search keeps its own stack: a chain longer than the
@@ -99,7 +99,7 @@ class TestScale:
         n = 1100
         chain = build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
         maps = automorphisms(chain)
-        assert len(maps) == 1 and maps[0].is_identity()
+        assert len(maps) == 1 and maps[0].order() == 1
         ids = [f"c{n - i}" for i in range(n)]
         copy = build_poset(ids[::-1], [(ids[i], ids[i + 1]) for i in range(n - 1)])
         assert are_isomorphic(chain, copy) == {str(i): ids[i] for i in range(n)}

@@ -24,7 +24,6 @@ from zircons import (
     is_zircon,
     matching_from_dict,
     matching_pairs,
-    matching_to_dict,
     principal_ideal,
     theta_from_spec,
     twisted_map,
@@ -428,7 +427,7 @@ def test_specialness_invariant_under_relabeling(corpus_to_5):
 class TestSerialization:
     def test_round_trip(self, diamond):
         M = {"0": "1", "1": "0", "2": "3", "3": "2"}
-        assert matching_from_dict(matching_to_dict(M)) == M
+        assert matching_from_dict({"pairs": matching_pairs(M)}) == M
 
     def test_pairs_sorted_once_each(self):
         assert matching_pairs({"b": "a", "a": "b", "d": "c", "c": "d"}) == [

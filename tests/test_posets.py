@@ -1,4 +1,5 @@
 import itertools
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -24,10 +25,8 @@ from zircons import (
     fixed_point_subposet,
     induced_subposet,
     interval,
-    is_automorphism,
     leq,
     map_from_dict,
-    map_to_dict,
     mobius,
     mobius_matrix,
     mobius_oracle,
@@ -148,7 +147,7 @@ class TestOneConstructor:
             made.clear()
             results = build()
             assert [id(P) for P in made] == [id(P) for P in results], name
-        assert not twisted_map(W, theta).is_identity()
+        assert twisted_map(W, theta).order() != 1
 
     def test_the_label_form_is_gone(self):
         with pytest.raises(TypeError):
@@ -410,7 +409,7 @@ class TestAutomorphisms:
     def test_chain_is_rigid(self):
         P = build_poset([0, 1], [(0, 1)])
         maps = automorphisms(P)
-        assert len(maps) == 1 and maps[0].is_identity()
+        assert len(maps) == 1 and maps[0].order() == 1
 
     def test_diamond(self, diamond):
         maps = automorphisms(diamond)
@@ -440,13 +439,13 @@ class TestAutomorphisms:
             if len(P) > 5:
                 continue
             maps = automorphisms(P)
-            assert any(m.is_identity() for m in maps)
+            assert any(m.order() == 1 for m in maps)
             for m in maps:
-                assert is_automorphism(P, m.image)
+                assert PosetMap(P, m.image)._perm == m._perm
             perms = {m._perm for m in maps}
             for f in maps:
                 for g in maps:
-                    assert f.compose(g)._perm in perms
+                    assert tuple(f._perm[j] for j in g._perm) in perms
 
     def test_order_is_the_lcm_of_the_cycles(self, cube):
         """The cube's automorphisms permute its three coordinates: orders
@@ -454,17 +453,20 @@ class TestAutomorphisms:
         maps = automorphisms(cube)
         orders = [m.order() for m in maps]
         assert sorted(orders) == [1, 2, 2, 2, 3, 3]
+        identity = tuple(range(len(cube)))
         for m, order in zip(maps, orders):
-            assert all(m.power(k).is_identity() == (k % order == 0) for k in range(1, 7))
+            power = identity
+            for k in range(1, 7):
+                power = tuple(m._perm[i] for i in power)
+                assert (power == identity) == (k % order == 0)
 
     def test_is_automorphism_rejects_order_reversal(self, diamond):
-        assert not is_automorphism(
-            diamond, {"0": "3", "3": "0", "1": "1", "2": "2"}
-        )
+        with pytest.raises(NotAutomorphismError):
+            PosetMap(diamond, {"0": "3", "3": "0", "1": "1", "2": "2"})
 
     def test_is_automorphism_unknown_ids(self, diamond):
         with pytest.raises(UnknownElementError):
-            is_automorphism(diamond, {"0": "9", "1": "1", "2": "2", "3": "3"})
+            PosetMap(diamond, {"0": "9", "1": "1", "2": "2", "3": "3"})
 
     @pytest.mark.parametrize(
         "image,error,message",
@@ -499,7 +501,7 @@ class TestInducedSubposet:
 class TestIsomorphism:
     def test_self(self, diamond):
         m = are_isomorphic(diamond, diamond)
-        assert m is not None and is_automorphism(diamond, m)
+        assert m is not None and PosetMap(diamond, m).image == m
 
     def test_diamond_vs_n_poset(self, diamond, n_poset):
         assert are_isomorphic(diamond, n_poset) is None
@@ -525,7 +527,7 @@ class TestSerialization:
 
     def test_map_round_trip(self, diamond):
         f = PosetMap(diamond, {"0": "0", "1": "2", "2": "1", "3": "3"})
-        assert map_from_dict(map_to_dict(f)) == f.image
+        assert map_from_dict(json.loads(json.dumps({"map": f.image}))) == f.image
 
     def test_dot_output(self, diamond):
         dot = poset_to_dot(diamond)

@@ -66,7 +66,7 @@ class TestSweep:
 
     def test_json_round_trip_lossless(self, small_report):
         data = json.loads(json.dumps(small_report.to_dict()))
-        assert SweepReport.from_dict(data).to_dict() == small_report.to_dict()
+        assert SweepReport(**data).to_dict() == small_report.to_dict()
 
     def test_byte_identical_reports_modulo_duration(self, small_report):
         again = run_sweep({"mode": "exhaustive", "max_n": 4}, jobs=1)
@@ -603,6 +603,22 @@ class TestCoxeterCommand:
     def test_invalid_theta(self, files, capsys):
         assert main(["coxeter", "B3", "twisted", "flip"]) == 2
         assert "flip exists for B only at B2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["A3", "twisted", "s1:s3,s3:s1,s1:s1,s3:s3"],
+            ["A3", "fix-check", "s1:s3,s1:s1", "--against", "A3"],
+        ],
+    )
+    def test_theta_mapping_a_generator_twice(self, files, capsys, argv):
+        """A generator named twice in a map is malformed input, not the
+        map of its last entry."""
+        tmp, _ = files
+        out = tmp / "out"
+        assert main(["coxeter", *argv, "--output", str(out)]) == 2
+        assert "generator 's1' is mapped twice" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("action,theta", [("zircon-check", "bogus"), ("export", "flip")])
     def test_theta_where_none_is_used(self, files, capsys, action, theta):
