@@ -149,25 +149,26 @@ class CoxeterSystem:
         # turn. ShortLex-least reduced words are prefix-closed, so each
         # element is first reached along its own word, and the elements
         # arrive in (length, word) order. A model is the tuple of images of
-        # the points 1..d, and (w g)(x) = w(g(x)).
+        # the points 1..d, and (w g)(x) = w(g(x)). A label is its parent's
+        # label and one more letter.
         identity = tuple(range(1, len(gens[0]) + 1))
-        index, models, words = {identity: 0}, [identity], [()]
+        index, models, words, labels = {identity: 0}, [identity], [()], ["e"]
         self._right: list[list[int]] = [[] for _ in gens]
         for i, w in enumerate(models):  # models grows while it is walked
+            prefix = labels[i] + "." if i else ""
             for k, g in enumerate(gens):
                 v = tuple([w[x - 1] for x in g])  # a list builds faster than a generator
                 if v not in index:
                     index[v] = len(models)
                     models.append(v)
                     words.append(words[i] + (k + 1,))
+                    labels.append(prefix + self.generators[k])
                 self._right[k].append(index[v])
         if len(models) != expected:
             raise CoxeterError(
                 f"model enumeration produced {len(models)} elements, expected {expected}"
             )
-        self.elements = [
-            GroupElement(len(word), word, ".".join(f"s{i}" for i in word) or "e") for word in words
-        ]
+        self.elements = [GroupElement(len(word), word, label) for word, label in zip(words, labels)]
         self._by_label = {el.label: i for i, el in enumerate(self.elements)}
         self._inverse = []
         for word in words:  # w^-1 is the product of w's word reversed

@@ -330,9 +330,16 @@ def _check_automorphism(P: Poset, perm: Sequence[int]) -> None:
     on P, is a bijection carrying the cover set onto itself."""
     if len(set(perm)) != len(perm):
         raise NotAutomorphismError("map is not a bijection")
-    up = P._up
-    if any(perm[j] not in up[perm[i]] for i in range(len(perm)) for j in up[i]):
+    if not _carries_covers(P, P, perm):
         raise NotAutomorphismError("map does not preserve the order both ways")
+
+
+def _carries_covers(P: Poset, Q: Poset, mapping: Sequence[int]) -> bool:
+    """Whether the index map ``mapping`` carries every cover of P to a
+    cover of Q. A bijection that does is an isomorphism when P and Q have
+    as many covers."""
+    up_q = Q._up
+    return all(mapping[j] in up_q[mapping[i]] for i, ups in enumerate(P._up) for j in ups)
 
 
 def _map(P: Poset, perm: Sequence[int]) -> PosetMap:
@@ -461,8 +468,16 @@ def _sphericity_witness(P: Poset) -> Optional[list]:
 
 
 def is_bounded(P: Poset) -> bool:
-    """True iff the poset has a unique minimum and a unique maximum."""
-    return sum(not down for down in P._down) == 1 and sum(not up for up in P._up) == 1
+    """True iff the poset has a unique minimum and a unique maximum.
+
+    Read off the linear extension ``_topo``, sorted by the size of the
+    strict downset: the minimal elements come first, so the minimum is
+    unique iff the second element is not minimal; the last element has
+    the largest downset, so the maximum is unique iff that downset holds
+    every other element.
+    """
+    n, topo, below = len(P), P._topo, P._below
+    return n > 0 and (n == 1 or below[topo[1]] != 0) and below[topo[-1]].bit_count() == n - 1
 
 
 def _signatures(P: Poset) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...], list[int]]:
@@ -493,6 +508,11 @@ def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
     upset if x > v, and to the elements incomparable to w, w removed,
     otherwise; the search backs up as soon as a set is empty. Every pair
     is then related alike in P and Q, so each leaf is an isomorphism.
+    When a choice leaves two or more later positions and each of them a
+    single value, the one map below is tested in a single pass over the
+    covers (``_carries_covers``) instead of by descending; it is found
+    at the same point of the search, so the results and their order are
+    the same. With one position left, descending is the cheaper test.
     The search runs on an explicit stack and undoes the narrowing from a
     trail, so its depth is not bounded by the recursion limit.
     """
@@ -540,6 +560,7 @@ def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
         down, up = below_q[w], above_q[w]
         apart = full ^ (down | up | low)
         lower, upper = below_p[v], above_p[v]
+        forced = True  # every later position is left a single value
         for k in range(pos + 1, n):
             x = order[k]
             d = domain[k]
@@ -549,7 +570,17 @@ def _iso_search(P: Poset, Q: Poset, find_all: bool) -> list[tuple[int, ...]]:
                 domain[k] = narrowed
                 if not narrowed:
                     break
+            if narrowed & (narrowed - 1):
+                forced = False
         else:
+            if forced and pos < n - 2:  # one leaf below, two or more steps down
+                for k in range(pos + 1, n):
+                    mapping[order[k]] = domain[k].bit_length() - 1
+                if len(set(mapping)) == n and _carries_covers(P, Q, mapping):
+                    found.append(tuple(mapping))
+                    if not find_all:
+                        return found
+                continue
             pos += 1
             mark[pos] = len(trail)
             left[pos] = domain[pos]

@@ -247,7 +247,7 @@ def sweep_case(poset_id: str, P: Poset, mode: str, cap: int) -> list[dict]:
         for m_idx, partner in enumerate(specials):
             family = _matching_family(partner, phi)
             try:
-                m_phi = _fixed_point_matching(P, family.orbit, phi)
+                m_phi = _fixed_point_matching(P, partner, phi)
                 pairs = matching_pairs(m_phi)
                 records.append(_record(poset_id, "fixed_point_special", True,
                                        matching=m_idx, automorphism=a_idx,

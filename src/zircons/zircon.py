@@ -24,12 +24,14 @@ theory and are not re-checked at run time; the test suite checks them
 against a construction on the whole matching family. A result that
 fails its one check raises ``ConstructionError`` loudly. Inside,
 matchings are ``partner`` tuples of ``matchings`` and components are
-bitmasks over element indices. Conjugation stops when the orbit of M
-closes, after d steps, d a divisor of the order N of phi; every step
-walks those d conjugates, not M_1..M_N. ``fixed_point_matching`` walks
-only the components that hold fixed points; the family, with every
-component, is built only for ``matching_family``, ``fixed_point_report``
-and the sweep's records.
+bitmasks over element indices. The component of a fixed point p is
+phi-stable, so it is the closure of {p} under M and phi;
+``fixed_point_matching`` walks only these closures and builds no
+conjugate. The family, with its conjugates and every component, is
+built only for ``matching_family``, ``fixed_point_report`` and the
+sweep's records; there conjugation stops when the orbit of M closes,
+after d steps, d a divisor of the order N of phi, and every step walks
+those d conjugates, not M_1..M_N.
 ``is_zircon`` searches a principal ideal in place, as the bitmask of its
 members, and builds no ideal poset. It searches top down and reuses each
 special matching it finds on every smaller ideal that the matching maps
@@ -313,29 +315,57 @@ def _require_bounded(P: Poset) -> None:
         raise BoundednessError("fixed-point construction requires a bounded poset")
 
 
-def _fixed_point_matching(P: Poset, orbit: Sequence[Sequence[int]], phi: PosetMap) -> dict[str, str]:
-    """Pair each fixed point of phi with the opposite extremum of its
-    component in the union of the conjugates ``orbit``, M_1..M_d, then
-    check once that the pairing is special on the fixed-point subposet.
+def _closure(partner: Sequence[int], perm: Sequence[int], p: int) -> int:
+    """The closure of {p} under ``partner`` and the permutation ``perm``,
+    a bitmask."""
+    mask, queue = 1 << p, [p]
+    for y in queue:  # the queue grows while it is walked
+        for z in (partner[y], perm[y]):
+            if not mask >> z & 1:
+                mask |= 1 << z
+                queue.append(z)
+    return mask
 
-    Only the components of fixed points are walked, and each has its
-    extrema taken by ``_extrema``; a component is walked again only for a
-    fixed point that is neither extremum, which then raises. The fixed
-    points are taken in index order, and the first whose component has
-    no unique extrema raises ``ExtremaError``, the first that is neither
-    extremum ``ConstructionError``. The pairing is then checked in index form on
-    the fixed-point subposet, by ``_is_matching`` and then
-    ``_failing_covers``, each failure a ``ConstructionError``. Labels are
-    built once, for the return value.
+
+def _fixed_point_matching(P: Poset, partner: Sequence[int], phi: PosetMap) -> dict[str, str]:
+    """Pair each fixed point p of phi with the opposite extremum of its
+    component in the union of M_1..M_N, M = ``partner``, then check once
+    that the pairing is special on the fixed-point subposet.
+
+    That component is the closure of {p} under M and phi, so no conjugate
+    is built. Since M_(k+1) = phi M_k phi^-1, phi maps each M_k-edge to an
+    M_(k+1)-edge and M_N-edges to M_1-edges, so it permutes the components
+    and fixes the one through p; that component is closed under phi and
+    under M = M_N, and so holds the closure. Conversely the closure is
+    closed under phi^-1 = phi^(N-1), hence under every
+    M_k = phi^k M phi^-k, and so holds the component. The argument needs
+    only that M is an involution of the element indices, special or not.
+
+    When M(p) = q is a fixed point too, the closure is {p, q}, and p and q
+    are paired as they are if they are comparable. Any other component
+    met has its extrema taken by ``_extrema``; a component is walked again
+    only for a fixed point that is neither extremum, which then raises.
+    The fixed points are taken in index order, and the first whose
+    component has no unique extrema raises ``ExtremaError``, the first
+    that is neither extremum ``ConstructionError``. The pairing is then
+    checked in index form on the fixed-point subposet, by ``_is_matching``
+    and then ``_failing_covers``, each failure a ``ConstructionError``.
+    Labels are built once, for the return value.
     """
-    fixed = [p for p, image in enumerate(phi._perm) if image == p]
+    perm = phi._perm
+    fixed = [p for p, image in enumerate(perm) if image == p]
     position = {p: k for k, p in enumerate(fixed)}  # index in the fixed-point subposet
     ends: dict[int, tuple[int, int]] = {}  # each extremum of a walked component: its extrema
     pairing = []  # in the fixed-point subposet's indices, -1 when not a fixed point
+    below = P._below
     for p in fixed:
+        q = partner[p]
+        if q != p and perm[q] == q and (below[p] >> q | below[q] >> p) & 1:
+            pairing.append(position[q])  # the closure is the chain {p, q}
+            continue
         extrema = ends.get(p)
         if extrema is None:  # p is the first fixed point of its component, or neither extremum
-            extrema = _extrema(P, _component(orbit, p))
+            extrema = _extrema(P, _closure(partner, perm, p))
             ends[extrema[0]] = ends[extrema[1]] = extrema
         lo, hi = extrema
         if p != lo and p != hi:
@@ -360,18 +390,20 @@ def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
     fixed point sits at an extremum of its orbit component and is matched
     to the opposite extremum. The result is checked once, to be a special
     matching on the fixed-point subposet;
-    ``ConstructionError`` is raised otherwise. No ``MatchingFamily`` is
-    built: only the conjugates, up to the closing of M's orbit, and the
-    components of the fixed points. The result is a plain dict.
+    ``ConstructionError`` is raised otherwise. Neither a
+    ``MatchingFamily`` nor a conjugate of M is built: each fixed point's
+    component is its closure under M and phi. The result is a plain dict.
     """
     fm = _as_poset_map(P, phi)
     _require_bounded(P)
-    return _fixed_point_matching(P, _conjugates(_special_input(P, M, _NOT_SPECIAL), fm), fm)
+    return _fixed_point_matching(P, _special_input(P, M, _NOT_SPECIAL), fm)
 
 
 def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
     """JSON-ready record of one fixed-point construction run."""
-    family = matching_family(P, M, phi)
+    fm = _as_poset_map(P, phi)
+    partner = _special_input(P, M, _NOT_SPECIAL)
+    family = _matching_family(partner, fm)
     report = {
         "n": len(P),
         "order_N": family.order,
@@ -383,7 +415,7 @@ def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
     }
     try:
         _require_bounded(P)
-        m_phi = _fixed_point_matching(P, family.orbit, family.automorphism)
+        m_phi = _fixed_point_matching(P, partner, fm)
     except (BoundednessError, ConstructionError, ExtremaError) as exc:
         report["witness"] = str(exc)
         return report

@@ -7,6 +7,12 @@ signature class per element, each choice checked against the covers of
 every element assigned before it. It visits the same variables and values
 in the same order, so its first isomorphism is the library's witness.
 
+``bruhat_automorphisms`` is an oracle from theory for whole Bruhat
+orders, where the backtracker takes minutes (D4): the diagram
+automorphisms, with and without inversion. ``in_search_order`` sorts
+isomorphisms as the library's search meets them, so that the first is its
+witness.
+
 ``iso_classes`` is the corpus deduplication that the library used before
 its orderly generation: every naturally labelled order, bucketed by the
 sorted signatures, kept unless ``_iso_search`` maps an earlier class of
@@ -19,6 +25,7 @@ all of its distinct relabellings.
 from itertools import permutations
 
 from zircons.corpus import _poset_from_masks, enumerate_posets
+from zircons.coxeter import CoxeterError, CoxeterSystem, DiagramAutomorphism
 from zircons.posets import Poset, _bits, _iso_search, _order, _signatures
 
 
@@ -53,11 +60,8 @@ def backtrack_isomorphisms(P: Poset, Q: Poset, find_all: bool = True) -> list[tu
     sig_q = signatures(Q)
     if sorted(sig_p) != sorted(sig_q):
         return []
-    candidates: dict[tuple, list[int]] = {}
-    for j, s in enumerate(sig_q):
-        candidates.setdefault(s, []).append(j)
-    # rarest signatures first, ties broken by id position
-    order = sorted(range(n), key=lambda i: (len(candidates[sig_p[i]]), sig_p[i], i))
+    candidates = _candidates(sig_q)
+    order = _search_order(sig_p, candidates)
     # bit v of up_p[u] is set iff u is covered by v
     up_p = [sum(1 << v for v in vs) for vs in P._up]
     up_q = [sum(1 << w for w in ws) for ws in Q._up]
@@ -93,6 +97,44 @@ def backtrack_isomorphisms(P: Poset, Q: Poset, find_all: bool = True) -> list[tu
 
     extend(0)
     return found
+
+
+def _candidates(sig_q) -> dict[tuple, list[int]]:
+    """The elements of Q of each signature."""
+    candidates: dict[tuple, list[int]] = {}
+    for j, s in enumerate(sig_q):
+        candidates.setdefault(s, []).append(j)
+    return candidates
+
+
+def _search_order(sig_p, candidates) -> list[int]:
+    """Rarest signatures first, ties broken by id position."""
+    return sorted(range(len(sig_p)), key=lambda i: (len(candidates[sig_p[i]]), sig_p[i], i))
+
+
+def in_search_order(P: Poset, Q: Poset, maps) -> list[tuple[int, ...]]:
+    """Isomorphisms P -> Q in lexicographic order of their images along the
+    search order of ``backtrack_isomorphisms``."""
+    order = _search_order(signatures(P), _candidates(signatures(Q)))
+    return sorted(maps, key=lambda m: [m[v] for v in order])
+
+
+def bruhat_automorphisms(W: CoxeterSystem) -> list[tuple[int, ...]]:
+    """The maps w -> theta(w) and w -> theta(w^-1), theta over the diagram
+    automorphisms of W, as sorted index tuples on ``W.bruhat_poset()``.
+    For A_n, B_n and D_n with n >= 3 these are every automorphism of the
+    Bruhat order (Waterhouse, Automorphisms of the Bruhat order on
+    Coxeter groups, Bull. LMS 1989)."""
+    gens = W.generators
+    maps = set()
+    for images in permutations(gens):
+        try:
+            theta = DiagramAutomorphism(W, dict(zip(gens, images)))
+        except CoxeterError:  # not a symmetry of the Coxeter matrix
+            continue
+        maps.add(tuple(theta._perm))
+        maps.add(tuple(theta._perm[j] for j in W._inverse))
+    return sorted(maps)
 
 
 def natural_strict_orders(n: int):

@@ -5,8 +5,15 @@ first witness, since the witness reaches reports and CLI output.
 """
 
 import pytest
+from iso_oracle import (
+    backtrack_isomorphisms,
+    bruhat_automorphisms,
+    in_search_order,
+    natural_strict_orders,
+    signatures,
+)
 
-from iso_oracle import backtrack_isomorphisms, natural_strict_orders, signatures
+import zircons.posets
 from zircons import (
     RedundantCoverError,
     are_isomorphic,
@@ -20,6 +27,7 @@ from zircons import (
     leq,
     poset_from_dict,
     poset_to_dict,
+    random_poset,
 )
 from zircons.corpus import _poset_from_masks
 from zircons.posets import Poset, PosetMap, _from_pairs, _signatures, _sphericity_witness
@@ -27,6 +35,12 @@ from zircons.posets import Poset, PosetMap, _from_pairs, _signatures, _sphericit
 
 def _perms(P):
     return [f._perm for f in automorphisms(P)]
+
+
+def _reversed_copy(P):
+    """P with its ids listed in reverse, so that the candidate sets differ
+    and the first witness is not the identity."""
+    return build_poset(P.elements[::-1], P.covers)
 
 
 def _bruhat_intervals(type_spec):
@@ -77,10 +91,64 @@ class TestAgainstOracle:
         """A relabelled copy has other candidate sets, so the first witness
         is not the identity."""
         for I in _bruhat_intervals("B3")[::7]:
-            ids = I.elements[::-1]
-            Q = build_poset(ids, [(ids[-1 - I.index(a)], ids[-1 - I.index(b)]) for a, b in I.covers])
+            Q = _reversed_copy(I)
             first = backtrack_isomorphisms(I, Q, find_all=False)[0]
             assert are_isomorphic(I, Q) == {I.elements[i]: Q.elements[j] for i, j in enumerate(first)}
+
+
+@pytest.fixture()
+def single_leaf_tests(monkeypatch):
+    """The verdicts on the maps that the search tests over the covers,
+    having found every later position left a single value, instead of
+    descending."""
+    tested = []
+    real = zircons.posets._carries_covers
+
+    def recording(P, Q, mapping):
+        tested.append(real(P, Q, mapping))
+        return tested[-1]
+
+    monkeypatch.setattr(zircons.posets, "_carries_covers", recording)
+    return tested
+
+
+class TestSingleValueLeaf:
+    """Where narrowing leaves each later position a single value, the one
+    map below is tested in one pass over the covers. The maps found, and
+    their order, stay those of the oracles."""
+
+    @pytest.mark.parametrize("type_spec", ["A4", "B4", "D4"])
+    def test_whole_orders(self, single_leaf_tests, type_spec):
+        W = build_coxeter(type_spec)
+        B = W.bruhat_poset()
+        maps = bruhat_automorphisms(W)
+        assert _perms(B) == maps
+        # the copy lists the same ids reversed: element i of B is n - 1 - i there
+        Q, last = _reversed_copy(B), len(B) - 1
+        first = in_search_order(B, Q, [tuple(last - j for j in m) for m in maps])[0]
+        assert are_isomorphic(B, Q) == {B.elements[i]: Q.elements[j] for i, j in enumerate(first)}
+        assert single_leaf_tests
+
+    def test_classes_to_6(self, single_leaf_tests):
+        classes = [P for n in range(1, 7) for P in enumerate_posets(n)]
+        for P in classes:
+            assert _perms(P) == sorted(backtrack_isomorphisms(P, P))
+            Q = _reversed_copy(P)
+            first = backtrack_isomorphisms(P, Q, find_all=False)[0]
+            assert are_isomorphic(P, Q) == {P.elements[i]: Q.elements[j] for i, j in enumerate(first)}
+        assert len(classes) == 405 and single_leaf_tests
+
+    # pairs of random posets with equal signatures, found by a search
+    # over seeds, where a map of single values fails to carry the covers
+    @pytest.mark.parametrize("n,density,seeds", [(9, 0.2, (762, 1067)), (10, 0.2, (854, 1327)),
+                                                 (10, 0.35, (34, 1464))])
+    def test_a_single_valued_map_that_fails(self, single_leaf_tests, n, density, seeds):
+        P, Q = (random_poset(n, seed, density) for seed in seeds)
+        assert _signatures(P)[1] == _signatures(Q)[1]
+        first = backtrack_isomorphisms(P, Q, find_all=False)
+        want = {P.elements[i]: Q.elements[j] for i, j in enumerate(first[0])} if first else None
+        assert are_isomorphic(P, Q) == want
+        assert False in single_leaf_tests
 
 
 class TestScale:

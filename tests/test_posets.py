@@ -25,6 +25,7 @@ from zircons import (
     fixed_point_subposet,
     induced_subposet,
     interval,
+    is_bounded,
     leq,
     map_from_dict,
     mobius,
@@ -220,6 +221,29 @@ class TestOrderQueries:
                     leq(P, a, z) and leq(P, z, b) and z not in (a, b)
                     for z in P.elements
                 )
+
+
+def _bounded_by_two_sums(P):
+    """A unique minimal and a unique maximal element, counted."""
+    return sum(not down for down in P._down) == 1 and sum(not up for up in P._up) == 1
+
+
+class TestBounded:
+    """``is_bounded`` reads two entries of the linear extension; it agrees
+    with counting the minimal and the maximal elements."""
+
+    def test_every_class_to_7(self):
+        verdicts = [(is_bounded(P), _bounded_by_two_sums(P)) for n in range(8) for P in enumerate_posets(n)]
+        assert len(verdicts) == 2451 and all(got == want for got, want in verdicts)
+        # the point, then a bottom and a top adjoined to each class on
+        # n - 2 elements (OEIS A000112)
+        assert sum(got for got, _ in verdicts) == 1 + (1 + 1 + 2 + 5 + 16 + 63)
+
+    def test_random_9_element_posets(self):
+        posets = [random_poset(9, seed, (0.2, 0.4, 0.6, 0.8)[seed % 4]) for seed in range(300)]
+        verdicts = [(is_bounded(P), _bounded_by_two_sums(P)) for P in posets]
+        assert all(got == want for got, want in verdicts)
+        assert {got for got, _ in verdicts} == {True, False}
 
 
 class TestIdealsIntervals:

@@ -476,6 +476,59 @@ def test_conjugation_stops_when_the_orbit_closes(corpus_to_5, cube, a3):
     assert {(1, 1), (2, 1), (2, 2), (3, 3)} <= seen
 
 
+def _closures_equal_components(P, partner, phi):
+    """Check that the closure under M and phi of every fixed point p of
+    phi is its component in the matching family; return the number of
+    fixed points."""
+    F = zircons.zircon._matching_family(partner, phi)
+    fixed = [p for p, image in enumerate(phi._perm) if image == p]
+    for p in fixed:
+        assert zircons.zircon._closure(partner, phi._perm, p) == F.components[F.component_of[p]]
+    return len(fixed)
+
+
+class TestClosureIsComponent:
+    """The construction takes each fixed point's component as its closure
+    under M and phi, without the conjugates. It is the family's
+    component, on every special matching and automorphism."""
+
+    def test_bounded_classes_to_6(self):
+        cases = fixed = 0
+        for n in range(7):
+            for P in enumerate_posets(n):
+                if is_bounded(P):
+                    for M in enumerate_special_matchings(P):
+                        for phi in automorphisms(P):
+                            fixed += _closures_equal_components(P, _partner(P, M), phi)
+                            cases += 1
+        assert cases == 32 and fixed > cases
+
+    def test_b3_intervals(self):
+        B = build_coxeter("B3").bruhat_poset()
+        cases = moved = 0
+        for u in B.elements:
+            for v in B.elements:
+                if u != v and leq(B, u, v):
+                    I = interval(B, u, v)
+                    maps = automorphisms(I)
+                    for M in enumerate_special_matchings(I):
+                        for phi in maps:
+                            moved += _closures_equal_components(I, M._partner, phi) < len(I)
+                            cases += 1
+        assert cases == 9276 and moved > 0
+
+    def test_d4_triality(self):
+        """The order-3 automorphisms of D4, whose fixed points are G2, and
+        every other automorphism of the whole order."""
+        B = build_coxeter("D4").bruhat_poset()
+        maps, specials = automorphisms(B), enumerate_special_matchings(B)
+        for phi in maps:
+            for M in specials:
+                assert _closures_equal_components(B, M._partner, phi) > 0
+        assert len(maps) == 12 and len(specials) == 8
+        assert {len(phi.fixed_points()) for phi in maps if phi.order() == 3} == {12}
+
+
 def _outcome(construct, *args):
     """The result of a construction, or the type and message of its error."""
     try:
@@ -562,8 +615,7 @@ class TestAgainstFamilyOracle:
                     maps = automorphisms(P)
                     for partner in _involutions(n):
                         for phi in maps:
-                            members = zircons.zircon._conjugates(partner, phi)
-                            got = _outcome(zircons.zircon._fixed_point_matching, P, members, phi)
+                            got = _outcome(zircons.zircon._fixed_point_matching, P, partner, phi)
                             assert got == _outcome(family_fixed_point_matching, P, partner, phi)
                             if isinstance(got, tuple):
                                 errors.add(next(k for k in _ERROR_KINDS if k in got[1]))
@@ -673,21 +725,34 @@ class TestChecksRunOnce:
         assert 3 in built  # the rotations are among the automorphisms
 
     def test_sweep_walks_the_orbit_once(self, monkeypatch, cube):
-        """Where M's orbit is shorter than the order N of phi, the sweep
-        hands the construction the d distinct conjugates, not N members."""
-        handed = []
-        real = zircons.sweep._fixed_point_matching
+        """The sweep walks M's orbit once per case, for the family of its
+        records, and hands the construction the base matching;
+        ``fixed_point_matching`` builds no conjugate at all."""
+        handed, conjugated = [], []
+        real_construction = zircons.sweep._fixed_point_matching
+        real_conjugates = zircons.zircon._conjugates
 
-        def recording(P, orbit, phi):
-            handed.append((len(orbit), len(set(orbit)), phi.order()))
-            return real(P, orbit, phi)
+        def recording(P, partner, phi):
+            handed.append(tuple(partner))
+            return real_construction(P, partner, phi)
+
+        def counting(partner, phi):
+            conjugated.append(tuple(partner))
+            return real_conjugates(partner, phi)
 
         monkeypatch.setattr("zircons.sweep._fixed_point_matching", recording)
+        monkeypatch.setattr("zircons.zircon._conjugates", counting)
         records = sweep_case("cube", cube, "exhaustive", 100)
         assert all(r["ok"] for r in records)
-        assert len(handed) == len(automorphisms(cube)) * len(enumerate_special_matchings(cube))
-        assert all(d == distinct and order % d == 0 for d, distinct, order in handed)
-        assert any(d < order for d, _, order in handed)
+        specials = [_partner(cube, M) for M in enumerate_special_matchings(cube)]
+        assert len(handed) == len(automorphisms(cube)) * len(specials)
+        assert handed == conjugated == [tuple(m) for _ in automorphisms(cube) for m in specials]
+
+        conjugated.clear()
+        for phi in automorphisms(cube):
+            for M in enumerate_special_matchings(cube):
+                fixed_point_matching(cube, M, phi)
+        assert conjugated == []
 
     def test_sweep_builds_one_fixed_subposet_per_automorphism(self, monkeypatch, cube):
         built = _count_calls(monkeypatch, "posets", "_induced")
