@@ -48,7 +48,6 @@ from .posets import (
     PosetMap,
     _sphericity_witness,
     are_isomorphic,
-    is_bounded,
     map_from_dict,
     mobius,
     poset_from_dict,
@@ -60,6 +59,7 @@ from .zircon import (
     BoundednessError,
     ConstructionError,
     ExtremaError,
+    _require_bounded,
     fixed_point_report,
     fixed_point_subposet,
     is_zircon,
@@ -136,8 +136,7 @@ def cmd_check(args) -> int:
             raise InputError("the supplied map is not an automorphism of the poset")
         if not special:
             raise InputError("fixed-point construction requires a special matching")
-        if not is_bounded(P):
-            raise InputError("fixed-point construction requires a bounded poset")
+        _require_bounded(P)
         fp = fixed_point_report(P, M, phi)
         report["fixed_point"] = fp
         if not fp["special"]:
@@ -151,8 +150,6 @@ def cmd_sweep(args) -> int:
     manifest = _load_json(args.manifest)
     try:
         report = run_sweep(manifest, jobs=args.jobs, cap_matchings=args.cap_matchings)
-    except ManifestError as exc:
-        raise InputError(str(exc))
     except WorkerPanic as exc:
         _emit_json({"panic": str(exc), "poset": exc.poset_payload}, args.output)
         return EXIT_PANIC
@@ -266,11 +263,7 @@ def cmd_dot(args) -> int:
 
 def cmd_mobius(args) -> int:
     P = poset_from_dict(_load_json(args.poset))
-    try:
-        value = mobius(P, args.x, args.y)
-    except PosetError as exc:
-        raise InputError(str(exc))
-    _emit(str(value), args.output)
+    _emit(str(mobius(P, args.x, args.y)), args.output)
     return EXIT_OK
 
 
@@ -330,10 +323,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PosetError, MatchingError, BoundednessError, ManifestError, CoxeterError,
+    except (InputError, PosetError, MatchingError, BoundednessError, ManifestError, CoxeterError,
             SearchLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .matchings import SpecialMatching, _failing_covers, _is_matching, _special_matching
-from .posets import (Poset, PosetMap, _bits, _check_automorphism, _from_pairs, _induced, _map,
-                     principal_ideal)
+from .posets import (Poset, PosetMap, _bits, _check_automorphism, _fixed_subposet, _from_pairs,
+                     _map, principal_ideal)
 
 __all__ = [
     "CoxeterError",
@@ -448,7 +448,7 @@ def twisted_involutions(W: CoxeterSystem, theta: DiagramAutomorphism) -> list[Gr
 
 
 def fix_subgroup_poset(W: CoxeterSystem, theta: DiagramAutomorphism) -> Poset:
-    """Bruhat order restricted to the group elements fixed by theta."""
-    # the Bruhat order lists the elements in the order of W.elements
-    fixed = [i for i, j in enumerate(theta._perm) if i == j]
-    return _induced(W.bruhat_poset(), fixed)
+    """Bruhat order restricted to the group elements fixed by theta; the
+    whole Bruhat order itself when theta is the identity."""
+    B = W.bruhat_poset()  # indexed like W.elements, as theta._perm is
+    return _fixed_subposet(B, _map(B, theta._perm))

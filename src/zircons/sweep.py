@@ -111,6 +111,8 @@ def validate_manifest(manifest: dict) -> dict:
         raise ManifestError("random mode needs a positive n")
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise ManifestError("random mode needs a non-empty integer seed list")
+    if len(set(seeds)) < len(seeds):  # one poset id per seed
+        raise ManifestError("random mode needs distinct seeds")
     if (isinstance(density, bool) or not isinstance(density, (int, float))
             or not 0.0 <= density <= 1.0):
         raise ManifestError("density must lie in [0, 1]")

@@ -24,14 +24,15 @@ theory and are not re-checked at run time; the test suite checks them
 against a construction on the whole matching family. A result that
 fails its one check raises ``ConstructionError`` loudly. Inside,
 matchings are ``partner`` tuples of ``matchings`` and components are
-bitmasks over element indices. The component of a fixed point p is
-phi-stable, so it is the closure of {p} under M and phi;
+bitmasks over element indices, each the closure of one element under
+some index maps, walked by ``_closure``. The component of a fixed point
+p is phi-stable, so it is the closure of {p} under M and phi;
 ``fixed_point_matching`` walks only these closures and builds no
 conjugate. The family, with its conjugates and every component, is
 built only for ``matching_family``, ``fixed_point_report`` and the
 sweep's records; there conjugation stops when the orbit of M closes,
-after d steps, d a divisor of the order N of phi, and every step walks
-those d conjugates, not M_1..M_N.
+after d steps, d a divisor of the order N of phi, and each component
+is the closure under those d conjugates, not M_1..M_N.
 ``is_zircon`` searches a principal ideal in place, as the bitmask of its
 members, and builds no ideal poset. It searches top down and reuses each
 special matching it finds on every smaller ideal that the matching maps
@@ -201,12 +202,20 @@ def _conjugates(partner: Sequence[int], phi: PosetMap) -> tuple[tuple[int, ...],
             return tuple(members)
 
 
-def _component(members: Sequence[Sequence[int]], x: int) -> int:
-    """The component of x in the union of the members' edges, a bitmask."""
+def _closure(maps: Sequence[Sequence[int]], x: int) -> int:
+    """The closure of {x} under the index maps ``maps``, a bitmask.
+
+    Under the orbit M_1..M_d of a matching it is the component of x in
+    the union of their edges, since each M_k is an involution. Under M
+    and phi it is that component only when x is a fixed point of phi (the
+    proof is in ``_fixed_point_matching``); elsewhere it is the union of
+    the component's phi-translates. So ``_matching_family``, which needs
+    every component, walks the orbit.
+    """
     mask, queue = 1 << x, [x]
     for y in queue:  # the queue grows while it is walked
-        for member in members:
-            z = member[y]
+        for f in maps:
+            z = f[y]
             if not mask >> z & 1:
                 mask |= 1 << z
                 queue.append(z)
@@ -221,7 +230,7 @@ def _matching_family(partner: Sequence[int], phi: PosetMap) -> MatchingFamily:
     component_of = [-1] * len(partner)
     for x in range(len(partner)):
         if component_of[x] == -1:
-            mask = _component(orbit, x)
+            mask = _closure(orbit, x)
             for y in _bits(mask):
                 component_of[y] = len(components)
             components.append(mask)
@@ -315,18 +324,6 @@ def _require_bounded(P: Poset) -> None:
         raise BoundednessError("fixed-point construction requires a bounded poset")
 
 
-def _closure(partner: Sequence[int], perm: Sequence[int], p: int) -> int:
-    """The closure of {p} under ``partner`` and the permutation ``perm``,
-    a bitmask."""
-    mask, queue = 1 << p, [p]
-    for y in queue:  # the queue grows while it is walked
-        for z in (partner[y], perm[y]):
-            if not mask >> z & 1:
-                mask |= 1 << z
-                queue.append(z)
-    return mask
-
-
 def _fixed_point_matching(P: Poset, partner: Sequence[int], phi: PosetMap) -> dict[str, str]:
     """Pair each fixed point p of phi with the opposite extremum of its
     component in the union of M_1..M_N, M = ``partner``, then check once
@@ -365,7 +362,7 @@ def _fixed_point_matching(P: Poset, partner: Sequence[int], phi: PosetMap) -> di
             continue
         extrema = ends.get(p)
         if extrema is None:  # p is the first fixed point of its component, or neither extremum
-            extrema = _extrema(P, _closure(partner, perm, p))
+            extrema = _extrema(P, _closure((partner, perm), p))
             ends[extrema[0]] = ends[extrema[1]] = extrema
         lo, hi = extrema
         if p != lo and p != hi:

@@ -573,6 +573,13 @@ class TestFixSubgroup:
     def test_identity_gives_whole_group(self, a2, hexagon):
         assert fix_subgroup_poset(a2, theta_from_spec(a2, "id")) == hexagon
 
+    @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "I2:6"])
+    def test_identity_returns_the_bruhat_order(self, spec):
+        """The identity fixes every element: its fixed subposet is the
+        Bruhat order itself, not a copy."""
+        W = build_coxeter(spec)
+        assert fix_subgroup_poset(W, theta_from_spec(W, "id")) is W.bruhat_poset()
+
     def test_a3_flip_cardinality(self, a3):
         P = fix_subgroup_poset(a3, theta_from_spec(a3, "flip"))
         assert len(P) == 8

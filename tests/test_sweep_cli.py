@@ -104,6 +104,8 @@ class TestSweep:
             {"mode": "exhaustive", "max_n": 3, "density": 0.5},
             {"mode": "exhaustive", "max_n": 3, "bogus": 1},
             {"mode": "random", "n": 8, "seeds": [1], "max_n": 3},
+            # a repeated seed would give two posets one id
+            {"mode": "random", "n": 4, "seeds": [3, 3]},
         ):
             with pytest.raises(ManifestError):
                 validate_manifest(bad)
@@ -261,6 +263,19 @@ class TestCheckCommand:
         )
         assert rc == 2
 
+    def test_unbounded_poset_is_input_error(self, files, capsys):
+        """The construction needs a bounded poset; two disjoint chains have
+        two minima, whatever the automorphism."""
+        tmp, write = files
+        poset = write("p.json", {"elements": ["a", "b", "c", "d"],
+                                 "covers": [["a", "b"], ["c", "d"]]})
+        matching = write("m.json", {"pairs": [["a", "b"], ["c", "d"]]})
+        for image in ("abcd", "cdab"):
+            phi = write("phi.json", {"map": dict(zip("abcd", image))})
+            assert main(["check", poset, matching, phi]) == 2
+            assert capsys.readouterr() == (
+                "", "error: fixed-point construction requires a bounded poset\n")
+
     def test_malformed_json(self, files):
         tmp, write = files
         bad = tmp / "bad.json"
@@ -382,11 +397,16 @@ class TestSweepCommand:
         assert report["summary"]["posets"] == 24
         assert report["summary"]["violations"] == 0
 
-    def test_bad_manifest(self, files):
+    def test_bad_manifest(self, files, capsys):
         tmp, write = files
-        assert main(["sweep", write("man.json", {"mode": "bogus"})]) == 2
-        assert main(["sweep", write("man.json", {"mode": "exhaustive", "max_n": 3,
-                                                 "density": 0.5, "bogus": 1})]) == 2
+        for manifest, line in (
+            ({"mode": "bogus"}, "unknown sweep mode 'bogus'"),
+            ({"mode": "exhaustive", "max_n": 3, "density": 0.5, "bogus": 1},
+             "exhaustive mode does not read 'density', 'bogus'"),
+            ({"mode": "random", "n": 4, "seeds": [3, 3]}, "random mode needs distinct seeds"),
+        ):
+            assert main(["sweep", write("man.json", manifest)]) == 2
+            assert capsys.readouterr() == ("", f"error: {line}\n")
 
     @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-4"),
                                             ("--cap-matchings", "-1")])
@@ -555,6 +575,15 @@ class TestCoxeterCommand:
         obj = json.loads((tmp / "f.json").read_text())
         assert obj["isomorphic"] and obj["cardinality"] == [8, 8]
 
+    def test_fix_check_identity(self, files):
+        """Under the identity the fixed subgroup is the whole group."""
+        tmp, _ = files
+        out = tmp / "f.json"
+        assert main(["coxeter", "B4", "fix-check", "id", "--against", "B4",
+                     "--output", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["isomorphic"] is True and obj["cardinality"] == [384, 384]
+
     def test_fix_check_triality_against_g2(self, files):
         tmp, _ = files
         out = tmp / "f.json"
@@ -671,9 +700,15 @@ class TestDotMobiusCommands:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "1"
 
-    def test_mobius_incomparable(self, files):
+    def test_mobius_incomparable(self, files, capsys):
         tmp, write = files
         assert main(["mobius", write("p.json", DIAMOND), "1", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: '1' is not below '2'\n")
+
+    def test_mobius_unknown_element(self, files, capsys):
+        tmp, write = files
+        assert main(["mobius", write("p.json", DIAMOND), "0", "9"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown element id '9'\n")
 
 
 # Small ids, so that generated covers, pairs and maps often hit real elements.

@@ -483,7 +483,7 @@ def _closures_equal_components(P, partner, phi):
     F = zircons.zircon._matching_family(partner, phi)
     fixed = [p for p, image in enumerate(phi._perm) if image == p]
     for p in fixed:
-        assert zircons.zircon._closure(partner, phi._perm, p) == F.components[F.component_of[p]]
+        assert zircons.zircon._closure((partner, phi._perm), p) == F.components[F.component_of[p]]
     return len(fixed)
 
 
