@@ -3,7 +3,12 @@
 Subcommands: check, sweep, coxeter, dot, mobius. Exit codes: 0 when all
 checks pass, 1 when a verification fails (the report carries a witness),
 2 on malformed input or violated preconditions, 3 when a sweep worker
-dies (the offending poset is serialized for reproduction).
+dies (the offending poset is serialized for reproduction). ``main``
+returns every one of them, argparse's included, and raises no SystemExit.
+
+``coxeter T ACTION`` parses each action with its own parser, which declares
+only the arguments that action reads, so argparse rejects any other with
+exit 2; they come after the action.
 
 ``coxeter T zircon-check`` is a report over ``coxeter._descent_failures``,
 which checks the descent matching of every (w, s, side) in one pass over the
@@ -43,7 +48,6 @@ from .matchings import (
     verify_lifting,
 )
 from .posets import (
-    NotAutomorphismError,
     PosetError,
     PosetMap,
     _sphericity_witness,
@@ -130,10 +134,7 @@ def cmd_check(args) -> int:
             ok = False
 
     if args.automorphism:
-        try:
-            phi = PosetMap(P, map_from_dict(_load_json(args.automorphism)))
-        except NotAutomorphismError:
-            raise InputError("the supplied map is not an automorphism of the poset")
+        phi = PosetMap(P, map_from_dict(_load_json(args.automorphism)))
         if not special:
             raise InputError("fixed-point construction requires a special matching")
         _require_bounded(P)
@@ -192,7 +193,8 @@ def _coxeter_zircon_check(W, args) -> int:
     return EXIT_OK if zircon and not witnesses else EXIT_VIOLATION
 
 
-def _coxeter_twisted(W, theta, args) -> int:
+def _coxeter_twisted(W, args) -> int:
+    theta = theta_from_spec(W, args.theta)
     tm = twisted_map(W, theta)
     fixed = fixed_point_subposet(W.bruhat_poset(), tm)
     labels = [el.label for el in twisted_involutions(W, theta)]
@@ -214,9 +216,8 @@ def _coxeter_twisted(W, theta, args) -> int:
     return EXIT_OK if equal and zircon and sphericity else EXIT_VIOLATION
 
 
-def _coxeter_fix_check(W, theta, args) -> int:
-    if not args.against:
-        raise InputError("fix-check requires --against TYPE")
+def _coxeter_fix_check(W, args) -> int:
+    theta = theta_from_spec(W, args.theta)
     candidate = build_coxeter(args.against)
     fix = fix_subgroup_poset(W, theta)
     target = candidate.bruhat_poset()
@@ -234,25 +235,8 @@ def _coxeter_fix_check(W, theta, args) -> int:
 
 
 def cmd_coxeter(args) -> int:
-    # a flag the action does not read is malformed input, not ignored
-    if args.against is not None and args.action != "fix-check":
-        raise InputError(f"{args.action} takes no --against, only fix-check does")
-    if args.format != "json" and args.action != "export":
-        raise InputError(f"{args.action} takes no --format {args.format}, only export does")
     # a CoxeterError is malformed input: main reports it and exits 2
-    W = build_coxeter(args.type_spec)
-    if args.action == "twisted":
-        return _coxeter_twisted(W, theta_from_spec(W, args.theta), args)
-    if args.action == "fix-check":
-        return _coxeter_fix_check(W, theta_from_spec(W, args.theta), args)
-    # the other actions use no diagram automorphism, so they build none
-    if args.theta.strip() != "id":
-        raise InputError(f"{args.action} takes no diagram automorphism, not {args.theta!r}")
-    if args.action == "export":
-        return _coxeter_export(W, args)
-    if args.action == "zircon-check":
-        return _coxeter_zircon_check(W, args)
-    raise InputError(f"unknown action {args.action!r}")
+    return args.handler(build_coxeter(args.type_spec), args)
 
 
 def cmd_dot(args) -> int:
@@ -294,16 +278,27 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="K", help="abort enumeration beyond K matchings")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("coxeter", parents=[common],
-                       help="Bruhat-order workflows for Coxeter presets")
+    # --output sits on each action only: on the coxeter parser as well, the
+    # action's default would reset an --output given before the action
+    p = sub.add_parser("coxeter", help="Bruhat-order workflows for Coxeter presets")
     p.add_argument("type_spec", help="A3, B3, D4, or I2:7")
-    p.add_argument("action", choices=["export", "zircon-check", "twisted", "fix-check"])
-    p.add_argument("theta", nargs="?", default="id",
-                   help='diagram automorphism: "id", "flip", or "s1:s3,s3:s1"')
-    p.add_argument("--against", default=None, metavar="TYPE",
-                   help="candidate type for fix-check isomorphism")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=cmd_coxeter)
+    actions = p.add_subparsers(dest="action", required=True)
+    theta = argparse.ArgumentParser(add_help=False)
+    theta.add_argument("theta", nargs="?", default="id",
+                       help='diagram automorphism: "id", "flip", or "s1:s3,s3:s1"')
+
+    a = actions.add_parser("export", parents=[common])
+    a.add_argument("--format", choices=["json", "dot"], default="json")
+    a.set_defaults(handler=_coxeter_export)
+    a = actions.add_parser("zircon-check", parents=[common])
+    a.set_defaults(handler=_coxeter_zircon_check)
+    a = actions.add_parser("twisted", parents=[common, theta])
+    a.set_defaults(handler=_coxeter_twisted)
+    a = actions.add_parser("fix-check", parents=[common, theta])
+    a.add_argument("--against", required=True, metavar="TYPE",
+                   help="candidate type for fix-check isomorphism")
+    a.set_defaults(handler=_coxeter_fix_check)
 
     p = sub.add_parser("dot", parents=[common], help="render a poset file as DOT")
     p.add_argument("poset")
@@ -319,8 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse exits 2 on malformed arguments and 0 after --help or --version
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except (InputError, PosetError, MatchingError, BoundednessError, ManifestError, CoxeterError,

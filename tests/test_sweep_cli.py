@@ -251,17 +251,20 @@ class TestCheckCommand:
         report = json.loads((tmp / "report.json").read_text())
         assert report["fixed_point"]["m_phi"] == [["0", "3"]]
 
-    def test_non_automorphism_is_input_error(self, files):
+    def test_non_automorphism_is_input_error(self, files, capsys):
+        """A map that is no automorphism exits 2 with the library's reason:
+        a partial map, a non-injective one and the 0<->3 swap."""
         tmp, write = files
-        rc = main(
-            [
-                "check",
-                write("p.json", DIAMOND),
-                write("m.json", {"pairs": [["0", "1"], ["2", "3"]]}),
-                write("phi.json", {"map": {"0": "3", "3": "0", "1": "1", "2": "2"}}),
-            ]
-        )
-        assert rc == 2
+        poset = write("p.json", DIAMOND)
+        matching = write("m.json", {"pairs": [["0", "1"], ["2", "3"]]})
+        for image, reason in [
+            ({"0": "0", "1": "1", "2": "2"}, "map is not total on the element set"),
+            ({"0": "0", "1": "1", "2": "1", "3": "3"}, "map is not a bijection"),
+            ({"0": "3", "3": "0", "1": "1", "2": "2"}, "map does not preserve the order both ways"),
+        ]:
+            phi = write("phi.json", {"map": image})
+            assert main(["check", poset, matching, phi]) == 2
+            assert capsys.readouterr() == ("", f"error: {reason}\n")
 
     def test_unbounded_poset_is_input_error(self, files, capsys):
         """The construction needs a bounded poset; two disjoint chains have
@@ -470,6 +473,10 @@ class TestSweepCommand:
         }
 
 
+# each coxeter action with the arguments it reads
+ACTIONS = [["export"], ["zircon-check"], ["twisted", "flip"], ["fix-check", "flip", "--against", "B2"]]
+
+
 class TestCoxeterCommand:
     def test_export(self, files):
         tmp, write = files
@@ -649,12 +656,13 @@ class TestCoxeterCommand:
         assert "generator 's1' is mapped twice" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("action,theta", [("zircon-check", "bogus"), ("export", "flip")])
+    @pytest.mark.parametrize("action,theta", [("zircon-check", "bogus"), ("export", "flip"),
+                                              ("zircon-check", "id"), ("export", "id")])
     def test_theta_where_none_is_used(self, files, capsys, action, theta):
-        """export and zircon-check build no diagram automorphism; a theta
-        other than the default is still malformed input."""
+        """export and zircon-check take no diagram automorphism, so any
+        theta, the default written out included, is malformed input."""
         assert main(["coxeter", "A3", action, theta]) == 2
-        assert "takes no diagram automorphism" in capsys.readouterr().err
+        assert f"unrecognized arguments: {theta}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -673,16 +681,45 @@ class TestCoxeterCommand:
         tmp, _ = files
         out = tmp / "out"
         assert main(["coxeter", *argv, "--output", str(out)]) == 2
-        assert f"takes no {flag}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("action", ACTIONS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("before", [0, 1], ids=["before-type", "before-action"])
+    def test_output_before_the_action(self, files, capsys, action, before):
+        """--output belongs to the action, so it comes after it; before it,
+        argparse takes the next word for the action and exits 2."""
+        tmp, _ = files
+        out = tmp / "out"
+        argv = ["A3", *action]
+        argv[before:before] = ["--output", str(out)]
+        assert main(["coxeter", *argv]) == 2
+        assert "argument action: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("action", ACTIONS, ids=lambda argv: argv[0])
+    def test_output_after_each_action(self, files, capsys, action):
+        """Every action writes to --output what it prints without it."""
+        tmp, _ = files
+        out = tmp / "out"
+        assert main(["coxeter", "A3", *action]) == 0
+        printed = capsys.readouterr().out
+        assert main(["coxeter", "A3", *action, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
+    def test_help_and_version_return_zero(self, capsys):
+        """main returns argparse's exit code instead of raising SystemExit."""
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.startswith("zircons ")
+        assert main(["coxeter", "A3", "fix-check", "--help"]) == 0
+        assert "--against TYPE" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--jobs", "--cap-matchings"])
     def test_sweep_flags_are_rejected(self, files, capsys, flag):
         """Only sweep takes --jobs and --cap-matchings; elsewhere they are
         malformed input, not a silently ignored setting."""
-        with pytest.raises(SystemExit) as exc:
-            main(["coxeter", "A3", "zircon-check", flag, "2"])
-        assert exc.value.code == 2
+        assert main(["coxeter", "A3", "zircon-check", flag, "2"]) == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
