@@ -111,16 +111,19 @@ def _emit_json(obj, output: str | None) -> None:
 def cmd_check(args) -> int:
     P = poset_from_dict(_load_json(args.poset))
     M = matching_from_dict(_load_json(args.matching))
+    phi = PosetMap(P, map_from_dict(_load_json(args.automorphism))) if args.automorphism else None
     report: dict = {"poset": poset_to_dict(P), "matching_pairs": matching_pairs(M)}
 
     # M is converted and checked once; later steps take it as a SpecialMatching
     partner = _partner(P, M)
+    failing = None if partner is None else next(_failing_covers(P, partner), None)
+    special = ok = partner is not None and failing is None
+    if phi is not None and not special:
+        raise InputError("fixed-point construction requires a special matching")
     if partner is None:
         report.update(matching=False, special=None, witness=None, lifting=None)
         _emit_json(report, args.output)
         return EXIT_VIOLATION
-    failing = next(_failing_covers(P, partner), None)
-    special = ok = failing is None
     report["matching"] = True
     report["special"] = special
     report["witness"] = [P.elements[i] for i in failing] if failing else None
@@ -133,10 +136,7 @@ def cmd_check(args) -> int:
             report["lifting_witness"] = list(lifting.witness)
             ok = False
 
-    if args.automorphism:
-        phi = PosetMap(P, map_from_dict(_load_json(args.automorphism)))
-        if not special:
-            raise InputError("fixed-point construction requires a special matching")
+    if phi is not None:
         _require_bounded(P)
         fp = fixed_point_report(P, M, phi)
         report["fixed_point"] = fp

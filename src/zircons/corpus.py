@@ -19,6 +19,7 @@ from .posets import (
     Poset,
     PosetError,
     _bits,
+    _induced,
     _order,
     leq,
 )
@@ -121,10 +122,7 @@ def _least_strict_orders(n: int) -> Iterator[list[int]]:
 def _poset_from_masks(below: list[int]) -> Poset:
     """The poset on "0".."n-1" whose strict downsets, already closed, are
     ``below``."""
-    n = len(below)
-    ids = tuple(map(str, range(n)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if below[j] >> i & 1]
-    return Poset(ids, *_order(ids, pairs))
+    return _induced(tuple(map(str, range(len(below)))), below, range(len(below)))
 
 
 def enumerate_posets(n: int) -> Iterator[Poset]:

@@ -10,7 +10,10 @@ label views ``covers``, ``minimal_elements`` and ``maximal_elements``
 are derived from the adjacency on each access. Arbitrary-precision ints
 cannot wrap, so the order is exact at every size. ``Poset(ids, below,
 covers)`` stores a closure as given; ``build_poset`` is the one
-validator, and the Bruhat order enters it by ``_from_pairs``. An
+validator, and the Bruhat order enters it by ``_from_pairs``. Every
+derived poset (ideals, intervals, induced and fixed-point subposets, the
+corpus classes) is read off its parent's rows by ``_induced``; ``_order``
+closes only orders given by generating pairs. An
 instance's order never changes after construction: a ``Poset`` gains no
 state; a ``PosetMap`` gains its fixed-point subposet, with no lock:
 sweeps run in worker processes, each on its own pickled copies of the
@@ -354,7 +357,7 @@ def _fixed_subposet(P: Poset, phi: PosetMap) -> Poset:
     per map; P itself when phi is the identity."""
     if phi._fixed is None:
         fixed = [i for i, j in enumerate(phi._perm) if i == j]
-        phi._fixed = P if len(fixed) == len(P) else _induced(P, fixed)
+        phi._fixed = P if len(fixed) == len(P) else _induced(P.elements, P._below, fixed)
     return phi._fixed
 
 
@@ -365,34 +368,51 @@ def leq(P: Poset, x, y) -> bool:
 
 
 def induced_subposet(P: Poset, subset: Iterable) -> Poset:
-    """Order restriction to a subset; covers are recomputed by reduction."""
-    return _induced(P, sorted({P.index(x) for x in subset}))
+    """Order restriction to a subset; its covers are read off P's rows."""
+    return _induced(P.elements, P._below, sorted({P.index(x) for x in subset}))
 
 
-def _induced(P: Poset, idxs: list[int]) -> Poset:
-    """``induced_subposet`` on element indices given in ascending order."""
-    rows = [P._below[j] for j in idxs]
-    pairs = [(a, b) for a, i in enumerate(idxs) for b, row in enumerate(rows) if row >> i & 1]
-    ids = tuple(P.elements[i] for i in idxs)
-    return Poset(ids, *_order(ids, pairs))
+def _induced(ids: Sequence[str], below: Sequence[int], members: Sequence[int]) -> Poset:
+    """The subposet on ``members`` (ascending indices) of the order whose
+    closed strict-downset rows are ``below``, labelled by ``ids``.
 
-
-def _convex_subposet(P: Poset, idxs: list[int]) -> Poset:
-    """Subposet on a convex subset, given in ascending index order.
-
-    Everything between two members is a member, so the covers among the
-    members are exactly the parent's and need no reduction.
+    Members are taken in a linear extension: in index order if no row has
+    a bit above its own index, else by size of strict downset. For member
+    j the walk takes the top bit c of what is left of j's row among the
+    members, as a cover of j, and clears c and c's row; so every maximal
+    element of the row is taken, about once per cover. j's new row is the
+    taken members with their new rows. Off index order a taken c can lie
+    below another taken member; it is then in the union of their new
+    rows, and is no cover.
     """
-    pos = {i: a for a, i in enumerate(idxs)}
-    pairs = [(a, pos[j]) for a, i in enumerate(idxs) for j in P._up[i] if j in pos]
-    ids = tuple(P.elements[i] for i in idxs)
-    return Poset(ids, _order(ids, pairs)[0], pairs)
+    pos = {i: a for a, i in enumerate(members)}
+    mask = sum(1 << i for i in members)
+    order = range(len(members))
+    if any(below[j] >> j for j in members):
+        order = sorted(order, key=lambda a: below[members[a]].bit_count())
+    rows = [0] * len(members)
+    covers = []
+    for a in order:
+        rest = below[members[a]] & mask
+        through = taken = 0
+        while rest:
+            c = rest.bit_length() - 1
+            b = pos[c]
+            covers.append((b, a))
+            through |= rows[b]
+            taken |= 1 << b
+            rest &= ~(below[c] | 1 << c)
+        rows[a] = through | taken
+        if through & taken:  # off index order only: drop the taken below another
+            covers[-taken.bit_count():] = [(b, a) for b in _bits(taken & ~through)]
+    covers.sort()
+    return Poset(tuple(ids[i] for i in members), rows, covers)
 
 
 def principal_ideal(P: Poset, x) -> Poset:
     """Subposet on everything weakly below x."""
     i = P.index(x)
-    return _convex_subposet(P, _bits(P._below[i] | 1 << i))
+    return _induced(P.elements, P._below, _bits(P._below[i] | 1 << i))
 
 
 def interval(P: Poset, x, y) -> Poset:
@@ -402,7 +422,7 @@ def interval(P: Poset, x, y) -> Poset:
     i, j = P.index(x), P.index(y)
     below = P._below
     members = [k for k in _bits(below[j] | 1 << j) if k == i or below[k] >> i & 1]
-    return _convex_subposet(P, members)
+    return _induced(P.elements, below, members)
 
 
 def rank_function(P: Poset) -> Optional[dict[str, int]]:

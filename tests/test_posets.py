@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iso_oracle import labelled_posets
+from subposet_oracle import pairs_subposet, same_poset
 from zircons import (
     CycleError,
     DuplicateElementError,
@@ -41,7 +42,8 @@ from zircons import (
     twisted_map,
 )
 import zircons
-from zircons.posets import Poset, PosetMap, _fixed_subposet, _sphericity_witness
+from zircons.corpus import _least_strict_orders, _poset_from_masks
+from zircons.posets import Poset, PosetMap, _fixed_subposet, _induced, _sphericity_witness
 
 
 def brute_closure(relations):
@@ -153,6 +155,37 @@ class TestOneConstructor:
     def test_the_label_form_is_gone(self):
         with pytest.raises(TypeError):
             Poset(["a", "b"], [("a", "b")])
+
+
+class TestNoReclosure:
+    """Every derived poset reads its order off its parent's rows: ``_order``
+    closes only orders given by generating pairs."""
+
+    def test_derived_posets_call_order_zero_times(self, monkeypatch):
+        W = build_coxeter("A3")
+        B = W.bruhat_poset()
+        phi = twisted_map(W, theta_from_spec(W, "flip"))
+        closed = []
+        real_order = zircons.posets._order
+
+        def counting(ids, pairs):
+            closed.append(len(ids))
+            return real_order(ids, pairs)
+
+        for module in ("posets", "corpus"):
+            monkeypatch.setattr(f"zircons.{module}._order", counting)
+        builders = {
+            "interval": lambda: interval(B, "s1", "s1.s2.s3"),
+            "principal_ideal": lambda: principal_ideal(B, "s2.s1.s3"),
+            "induced_subposet": lambda: induced_subposet(B, ["e", "s1", "s3", "s1.s3"]),
+            "fixed_point_subposet": lambda: fixed_point_subposet(B, phi),
+            "enumerate_posets": lambda: list(enumerate_posets(5)),
+        }
+        for name, build in builders.items():
+            build()
+            assert closed == [], name
+        random_poset(6, 1)  # built from generating pairs
+        assert closed == [6]
 
 
 
@@ -520,6 +553,80 @@ class TestInducedSubposet:
     def test_antichain(self, hexagon):
         P = induced_subposet(hexagon, ["s1", "s2"])
         assert P.covers == ()
+
+
+@st.composite
+def shuffled_posets(draw):
+    """A poset on 0..n-1 with its elements listed in a drawn order, so that
+    its index order is mostly no linear extension, and a subset of its
+    indices, ascending."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    listing = draw(st.permutations(range(n)))
+    P = build_poset(listing, [(min(p), max(p)) for p in pairs if p[0] != p[1]], mode="relations")
+    return P, sorted(draw(st.sets(st.integers(0, n - 1))))
+
+
+class TestOneSubposetBuilder:
+    """``_induced`` against the pair-list route it replaced
+    (``subposet_oracle.pairs_subposet``): the same rows and the same cover
+    adjacency in both directions."""
+
+    @given(shuffled_posets())
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_posets_and_subsets(self, data):
+        P, members = data
+        assert same_poset(_induced(P.elements, P._below, members),
+                          pairs_subposet(P.elements, P._below, members))
+
+    def test_a_chain_listed_top_down(self):
+        """The walk takes the lowest element first, which another taken
+        element lies above: it is no cover."""
+        P = build_poset(["c", "b", "a"], [("a", "b"), ("b", "c")])
+        Q = induced_subposet(P, ["a", "b", "c"])
+        assert Q.covers == (("b", "c"), ("a", "b")) and Q == P
+        assert same_poset(Q, pairs_subposet(P.elements, P._below, [0, 1, 2]))
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "I2:6"])
+    def test_intervals_and_ideals_keep_the_parents_covers(self, spec):
+        """Everything between two members of an interval is a member, so
+        its covers are exactly the parent's covers inside it."""
+        B = build_coxeter(spec).bruhat_poset()
+        for y in B.elements:
+            for x in B.elements:
+                if not leq(B, x, y):
+                    continue
+                Q = interval(B, x, y)
+                inside = set(Q.elements)
+                assert Q.covers == tuple(c for c in B.covers if set(c) <= inside)
+                members = [B.index(z) for z in Q.elements]
+                assert same_poset(Q, pairs_subposet(B.elements, B._below, members))
+            assert same_poset(principal_ideal(B, y), interval(B, B.elements[0], y))
+
+    @pytest.mark.parametrize("spec,theta_spec,twisted", [
+        ("D5", "flip", False), ("A5", "flip", False), ("B4", "id", True),
+        ("B5", "id", True), ("D6", "id", True), ("A7", "flip", True),
+    ])
+    def test_fixed_sets_and_twisted_posets(self, spec, theta_spec, twisted):
+        """Fixed subgroups under a diagram automorphism, and twisted
+        involutions, the fixed points of w -> theta(w)^-1."""
+        W = build_coxeter(spec)
+        B = W.bruhat_poset()
+        theta = theta_from_spec(W, theta_spec)
+        if twisted:
+            phi = twisted_map(W, theta)
+            Q, perm = fixed_point_subposet(B, phi), phi._perm
+        else:
+            Q, perm = fix_subgroup_poset(W, theta), theta._perm
+        fixed = [i for i, j in enumerate(perm) if i == j]
+        assert 1 < len(Q) < len(B)
+        assert same_poset(Q, pairs_subposet(B.elements, B._below, fixed))
+
+    def test_corpus_classes(self):
+        for n in range(7):
+            ids = tuple(map(str, range(n)))
+            for below in _least_strict_orders(n):
+                assert same_poset(_poset_from_masks(below), pairs_subposet(ids, below, range(n)))
 
 
 class TestIsomorphism:

@@ -266,6 +266,21 @@ class TestCheckCommand:
             assert main(["check", poset, matching, phi]) == 2
             assert capsys.readouterr() == ("", f"error: {reason}\n")
 
+    def test_automorphism_is_read_when_m_is_no_matching(self, files, capsys):
+        """PHI is loaded and checked even when M is no matching: a missing
+        file is an input error, and a valid map breaks the construction's
+        precondition, as it does for a matching that is not special."""
+        tmp, write = files
+        poset = write("p.json", DIAMOND)
+        not_matching = write("m.json", {"pairs": [["0", "3"]]})
+        missing = str(tmp / "missing.json")
+        assert main(["check", poset, not_matching, missing]) == 2
+        assert capsys.readouterr() == ("", f"error: no such file: {missing}\n")
+        phi = write("phi.json", {"map": {"0": "0", "1": "2", "2": "1", "3": "3"}})
+        assert main(["check", poset, not_matching, phi]) == 2
+        assert capsys.readouterr() == (
+            "", "error: fixed-point construction requires a special matching\n")
+
     def test_unbounded_poset_is_input_error(self, files, capsys):
         """The construction needs a bounded poset; two disjoint chains have
         two minima, whatever the automorphism."""
