@@ -19,8 +19,8 @@ from .posets import (
     Poset,
     PosetError,
     _bits,
+    _from_lower,
     _induced,
-    _order,
     leq,
 )
 
@@ -209,6 +209,9 @@ def random_poset(n: int, seed: int, density: float = 0.3) -> Poset:
     if not 0.0 <= density <= 1.0:
         raise PosetError("density must lie in [0, 1]")
     rng = random.Random(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
-    ids = tuple(str(i) for i in range(n))
-    return Poset(ids, *_order(ids, pairs))
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                lower[j].append(i)
+    return _from_lower(tuple(str(i) for i in range(n)), lower, covers=False)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .matchings import SpecialMatching, _failing_covers, _is_matching, _special_matching
-from .posets import (Poset, PosetMap, _bits, _check_automorphism, _fixed_subposet, _from_pairs,
+from .posets import (Poset, PosetMap, _bits, _check_automorphism, _fixed_subposet, _from_lower,
                      _map, principal_ideal)
 
 __all__ = [
@@ -244,18 +244,17 @@ class CoxeterSystem:
 
         With s the last letter of w's word, the lower covers of w are ws
         and every vs with v a lower cover of ws and vs above v: the lifting
-        property (Bjorner-Brenti, GTM 231, Prop. 2.2.7). The index pairs go
-        straight to the covers-mode validation of ``build_poset``.
+        property (Bjorner-Brenti, GTM 231, Prop. 2.2.7). These lists go
+        straight to ``_from_lower``, the covers-mode validation of ``build_poset``.
         """
         if self._bruhat is None:
             lower: list[list[int]] = [[]]  # the lower covers of each element
             for i, el in enumerate(self.elements[1:], start=1):
                 images = self._right[el.word[-1] - 1]
                 u = images[i]
-                lower.append([u] + [images[v] for v in lower[u] if not self._lowers(images, v)])
+                lower.append(sorted({u, *(images[v] for v in lower[u] if not self._lowers(images, v))}))
             labels = tuple(el.label for el in self.elements)
-            pairs = [(v, w) for w, vs in enumerate(lower) for v in vs]
-            self._bruhat = _from_pairs(labels, pairs, covers=True)
+            self._bruhat = _from_lower(labels, lower, covers=True)
         return self._bruhat
 
 

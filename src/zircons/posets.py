@@ -9,18 +9,18 @@ next to the cover adjacency ``_up``/``_down`` it is the closure of. The
 label views ``covers``, ``minimal_elements`` and ``maximal_elements``
 are derived from the adjacency on each access. Arbitrary-precision ints
 cannot wrap, so the order is exact at every size. ``Poset(ids, below,
-covers)`` stores a closure as given; ``build_poset`` is the one
-validator, and the Bruhat order enters it by ``_from_pairs``. Every
-derived poset (ideals, intervals, induced and fixed-point subposets, the
-corpus classes) is read off its parent's rows by ``_induced``; ``_order``
-closes only orders given by generating pairs. An
-instance's order never changes after construction: a ``Poset`` gains no
-state; a ``PosetMap`` gains its fixed-point subposet, with no lock:
-sweeps run in worker processes, each on its own pickled copies of the
-posets, so no instance is shared between threads. Only this module
-writes that state or checks a map; the other modules hand it index
-forms. Only finite posets are representable, hence local-finiteness
-hypotheses hold vacuously throughout.
+down)`` stores a closure and each element's lower covers as given.
+``_from_lower``, the one validator, closes and reduces the lower
+neighbours that ``build_poset``, the Bruhat order and ``random_poset``
+give it; every derived poset (ideals, intervals, induced and fixed-point
+subposets, the corpus classes) is read off its parent's rows by
+``_induced``. An instance's order never changes after construction: a
+``Poset`` gains no state; a ``PosetMap`` gains its fixed-point subposet,
+with no lock: sweeps run in worker processes, each on its own pickled
+copies of the posets, so no instance is shared between threads. Only
+this module writes that state or checks a map; the other modules hand it
+index forms. Only finite posets are representable, hence
+local-finiteness hypotheses hold vacuously throughout.
 """
 
 from __future__ import annotations
@@ -88,67 +88,23 @@ def _bits(mask: int) -> list[int]:
     return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _order(ids: Sequence[str], pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Strict downsets and covers of the order generated by ``pairs``.
-
-    ``pairs`` are sorted, distinct index pairs. The closure is a dynamic
-    program over a Kahn topological order: each element takes the union
-    of the rows of its lower neighbours, plus those neighbours. A given
-    pair (i, j) is a cover iff i lies in none of those rows (Aho, Garey
-    and Ullman 1972); the covers come back in the order of ``pairs``.
-    """
-    n = len(ids)
-    lower: list[list[int]] = [[] for _ in range(n)]
-    upper: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        lower[j].append(i)
-        upper[i].append(j)
-    missing = [len(preds) for preds in lower]
-    ready = [j for j in range(n) if not missing[j]]
-    below = [0] * n
-    through = [0] * n  # union of the rows of the lower neighbours
-    while ready:
-        j = ready.pop()
-        rows = direct = 0
-        for i in lower[j]:
-            rows |= below[i]
-            direct |= 1 << i
-        through[j] = rows
-        below[j] = rows | direct
-        for k in upper[j]:
-            missing[k] -= 1
-            if not missing[k]:
-                ready.append(k)
-    if any(missing):
-        # every element left over has a lower neighbour left over, so
-        # walking down through them must close a cycle
-        k = next(j for j in range(n) if missing[j])
-        seen = set()
-        while k not in seen:
-            seen.add(k)
-            k = next(i for i in lower[k] if missing[i])
-        raise CycleError(f"cycle through element {ids[k]!r}")
-    return below, [(i, j) for i, j in pairs if not through[j] >> i & 1]
-
-
 class Poset:
     """Immutable finite poset: ids, cover adjacency, and the strict order
     as bitset rows.
 
-    ``Poset(ids, below, covers)`` stores distinct string ids, the closed
-    strict-downset rows and the sorted cover index pairs, checking nothing;
-    :func:`build_poset` validates. ``Poset(elements, covers)`` is a TypeError.
+    ``Poset(ids, below, down)`` stores distinct string ids, the closed
+    strict-downset rows and each element's ascending lower covers, checking
+    nothing; :func:`build_poset` validates. ``Poset(elements, covers)`` is a TypeError.
     """
 
     __slots__ = ("elements", "_index", "_below", "_up", "_down", "_rank", "_topo")
 
-    def __init__(self, ids: tuple[str, ...], below: Sequence[int], covers: Sequence[tuple[int, int]]):
+    def __init__(self, ids: tuple[str, ...], below: Sequence[int], down: Sequence[Sequence[int]]):
         n = len(ids)
         up: list[list[int]] = [[] for _ in range(n)]
-        down: list[list[int]] = [[] for _ in range(n)]
-        for i, j in covers:
-            up[i].append(j)
-            down[j].append(i)
+        for j, lower in enumerate(down):
+            for i in lower:
+                up[i].append(j)
         self.elements = ids
         self._index = {e: pos for pos, e in enumerate(ids)}
         self._below = tuple(below)
@@ -294,7 +250,7 @@ def build_poset(elements: Sequence, relations: Iterable, mode: str = "covers") -
     In ``relations`` mode the input pairs are transitively closed and then
     reduced; in ``covers`` mode the pairs must already be exactly the
     transitive reduction of their closure, otherwise the first redundant
-    pair in index order is reported.
+    pair in index order is reported. A repeated pair counts once.
     """
     if mode not in ("covers", "relations"):
         raise PosetError(f"unknown mode {mode!r}")
@@ -303,7 +259,7 @@ def build_poset(elements: Sequence, relations: Iterable, mode: str = "covers") -
     if len(index) != len(ids):
         dup = next(e for pos, e in enumerate(ids) if index[e] != pos)
         raise DuplicateElementError(f"duplicate element id {dup!r}")
-    pairs = []
+    lower: list[set[int]] = [set() for _ in ids]
     for a, b in relations:
         a, b = str(a), str(b)
         if a not in index or b not in index:
@@ -312,20 +268,60 @@ def build_poset(elements: Sequence, relations: Iterable, mode: str = "covers") -
             if mode == "covers":
                 raise RedundantCoverError(f"element {a!r} cannot cover itself")
             continue  # reflexive pairs are vacuous as relations
-        pairs.append((index[a], index[b]))
-    return _from_pairs(ids, pairs, covers=mode == "covers")
+        lower[index[b]].add(index[a])
+    return _from_lower(ids, [sorted(preds) for preds in lower], covers=mode == "covers")
 
 
-def _from_pairs(ids: tuple[str, ...], pairs: Iterable[tuple[int, int]], covers: bool) -> Poset:
-    """``build_poset`` on distinct ids and index pairs: close the order
-    they generate and, in covers mode, reject the first pair implied by
-    the others."""
-    pairs = sorted(set(pairs))
-    below, reduced = _order(ids, pairs)
-    if covers and len(reduced) < len(pairs):
-        i, j = min(set(pairs).difference(reduced))
+def _from_lower(ids: tuple[str, ...], lower: Sequence[Sequence[int]], covers: bool) -> Poset:
+    """The poset on distinct ``ids`` whose order is generated by
+    ``lower[j]``, the distinct lower neighbours of each j in ascending
+    index order. In covers mode every neighbour must be a cover, else the
+    least pair (i, j) in index order that the others imply is reported.
+
+    The closure is a dynamic program over a Kahn topological order: each
+    element takes the union of the rows of its lower neighbours, plus
+    those neighbours. A neighbour i of j is a cover iff i lies in none of
+    those rows (Aho, Garey and Ullman 1972).
+    """
+    n = len(ids)
+    upper: list[list[int]] = [[] for _ in range(n)]
+    for j, preds in enumerate(lower):
+        for i in preds:
+            upper[i].append(j)
+    missing = [len(preds) for preds in lower]
+    ready = [j for j in range(n) if not missing[j]]
+    below = [0] * n
+    down: list[Sequence[int]] = [()] * n
+    redundant = []  # per element, its least neighbour implied by the others
+    while ready:
+        j = ready.pop()
+        rows = direct = 0
+        for i in lower[j]:
+            rows |= below[i]
+            direct |= 1 << i
+        below[j] = rows | direct
+        down[j] = lower[j]
+        implied = rows & direct
+        if implied:
+            down[j] = [i for i in lower[j] if not implied >> i & 1]
+            redundant.append(((implied & -implied).bit_length() - 1, j))
+        for k in upper[j]:
+            missing[k] -= 1
+            if not missing[k]:
+                ready.append(k)
+    if any(missing):
+        # every element left over has a lower neighbour left over, so
+        # walking down through them must close a cycle
+        k = next(j for j in range(n) if missing[j])
+        seen = set()
+        while k not in seen:
+            seen.add(k)
+            k = next(i for i in lower[k] if missing[i])
+        raise CycleError(f"cycle through element {ids[k]!r}")
+    if covers and redundant:
+        i, j = min(redundant)
         raise RedundantCoverError(f"pair ({ids[i]!r}, {ids[j]!r}) is implied by other covers")
-    return Poset(ids, below, reduced)
+    return Poset(ids, below, down)
 
 
 def _check_automorphism(P: Poset, perm: Sequence[int]) -> None:
@@ -391,22 +387,23 @@ def _induced(ids: Sequence[str], below: Sequence[int], members: Sequence[int]) -
     if any(below[j] >> j for j in members):
         order = sorted(order, key=lambda a: below[members[a]].bit_count())
     rows = [0] * len(members)
-    covers = []
+    down: list[Sequence[int]] = [()] * len(members)
     for a in order:
         rest = below[members[a]] & mask
         through = taken = 0
+        lower = []
         while rest:
             c = rest.bit_length() - 1
             b = pos[c]
-            covers.append((b, a))
+            lower.append(b)
             through |= rows[b]
             taken |= 1 << b
             rest &= ~(below[c] | 1 << c)
         rows[a] = through | taken
         if through & taken:  # off index order only: drop the taken below another
-            covers[-taken.bit_count():] = [(b, a) for b in _bits(taken & ~through)]
-    covers.sort()
-    return Poset(tuple(ids[i] for i in members), rows, covers)
+            lower = [b for b in lower if not through >> b & 1]
+        down[a] = lower[::-1]
+    return Poset(tuple(ids[i] for i in members), rows, down)
 
 
 def principal_ideal(P: Poset, x) -> Poset:

@@ -26,7 +26,7 @@ from itertools import permutations
 
 from zircons.corpus import _poset_from_masks, enumerate_posets
 from zircons.coxeter import CoxeterError, CoxeterSystem, DiagramAutomorphism
-from zircons.posets import Poset, _bits, _iso_search, _order, _signatures
+from zircons.posets import Poset, _bits, _from_lower, _iso_search, _signatures
 
 
 def signatures(P: Poset) -> list[tuple[int, int, int, int, int]]:
@@ -227,4 +227,5 @@ def labelled_posets(n: int):
                 continue
             seen.add(relabeled)
             # relabelling carries covers to covers, so the pairs need no check
-            yield Poset(ids, *_order(ids, sorted(relabeled)))
+            yield _from_lower(ids, [sorted(i for i, k in relabeled if k == j) for j in range(n)],
+                              covers=False)

@@ -30,7 +30,7 @@ from zircons import (
     random_poset,
 )
 from zircons.corpus import _poset_from_masks
-from zircons.posets import Poset, PosetMap, _from_pairs, _signatures, _sphericity_witness
+from zircons.posets import Poset, PosetMap, _from_lower, _signatures, _sphericity_witness
 
 
 def _perms(P):
@@ -200,6 +200,7 @@ class TestNoMemo:
 
 class TestIndexCore:
     def test_rejects_a_redundant_pair(self):
-        """The Bruhat order enters the covers-mode validation as index pairs."""
+        """The Bruhat order enters the covers-mode validation as each
+        element's lower neighbours."""
         with pytest.raises(RedundantCoverError, match="'a', 'c'"):
-            _from_pairs(("a", "b", "c"), [(1, 2), (0, 2), (0, 1)], covers=True)
+            _from_lower(("a", "b", "c"), [[], [0], [0, 1]], covers=True)

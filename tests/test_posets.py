@@ -106,6 +106,15 @@ class TestBuild:
         # of two redundant pairs, the first in index order is named
         with pytest.raises(RedundantCoverError, match=r"pair \('0', '2'\)"):
             build_poset([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (1, 3), (0, 2)])
+        # the least pair over all elements, though ('1', '3') lies under
+        # an earlier element than ('0', '4')
+        chain = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        with pytest.raises(RedundantCoverError, match=r"pair \('0', '4'\)"):
+            build_poset(range(5), chain + [(1, 3), (0, 4)])
+
+    def test_repeated_cover_counts_once(self):
+        P = build_poset([0, 1], [(0, 1), (0, 1)])
+        assert P.covers == (("0", "1"),) and P._down == ((), (0,)) and P._up == ((1,), ())
 
     def test_covers_mode_rejects_self_cover(self):
         with pytest.raises(RedundantCoverError):
@@ -158,22 +167,22 @@ class TestOneConstructor:
 
 
 class TestNoReclosure:
-    """Every derived poset reads its order off its parent's rows: ``_order``
-    closes only orders given by generating pairs."""
+    """Every derived poset reads its order off its parent's rows:
+    ``_from_lower`` closes only orders given by generating pairs."""
 
     def test_derived_posets_call_order_zero_times(self, monkeypatch):
         W = build_coxeter("A3")
         B = W.bruhat_poset()
         phi = twisted_map(W, theta_from_spec(W, "flip"))
         closed = []
-        real_order = zircons.posets._order
+        real_from_lower = zircons.posets._from_lower
 
-        def counting(ids, pairs):
+        def counting(ids, lower, covers):
             closed.append(len(ids))
-            return real_order(ids, pairs)
+            return real_from_lower(ids, lower, covers)
 
         for module in ("posets", "corpus"):
-            monkeypatch.setattr(f"zircons.{module}._order", counting)
+            monkeypatch.setattr(f"zircons.{module}._from_lower", counting)
         builders = {
             "interval": lambda: interval(B, "s1", "s1.s2.s3"),
             "principal_ideal": lambda: principal_ideal(B, "s2.s1.s3"),
