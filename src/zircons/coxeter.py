@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_CAP = 50_000
+# the most letters all reduced words may hold, B6's: no other A, B or D
+# preset under the order cap holds more, and I2(m), with m^2, passes up to m = 910
+_WORD_LETTER_CAP = 829_440
 
 # the most digits a message prints: int and str convert at most 4300 by default
 _MAX_DIGITS = 4000
@@ -142,6 +145,13 @@ class CoxeterSystem:
         if expected is None or expected > DEFAULT_ORDER_CAP:
             size = expected or f"of more than {_MAX_DIGITS} digits"
             raise CoxeterError(f"group order {size} exceeds the cap {DEFAULT_ORDER_CAP}")
+        # each element keeps its word and label; the words hold |W| l(w0) / 2 letters
+        longest = {"A": rank * (rank + 1) // 2, "B": rank * rank, "D": rank * (rank - 1),
+                   "I2": rank}
+        letters = expected * longest[family] // 2
+        if letters > _WORD_LETTER_CAP:
+            raise CoxeterError(f"the reduced words of {self.type_spec} hold {letters} letters, "
+                               f"more than the cap {_WORD_LETTER_CAP}")
         gens = _permutation_model(family, rank)
         self.generators = [f"s{i}" for i in range(1, len(gens) + 1)]
 
@@ -244,15 +254,15 @@ class CoxeterSystem:
 
         With s the last letter of w's word, the lower covers of w are ws
         and every vs with v a lower cover of ws and vs above v: the lifting
-        property (Bjorner-Brenti, GTM 231, Prop. 2.2.7). These lists go
-        straight to ``_from_lower``, the covers-mode validation of ``build_poset``.
+        property (Bjorner-Brenti, GTM 231, Prop. 2.2.7); no vs is ws, so no list
+        repeats an element. They go straight to ``_from_lower`` in covers mode.
         """
         if self._bruhat is None:
             lower: list[list[int]] = [[]]  # the lower covers of each element
             for i, el in enumerate(self.elements[1:], start=1):
                 images = self._right[el.word[-1] - 1]
                 u = images[i]
-                lower.append(sorted({u, *(images[v] for v in lower[u] if not self._lowers(images, v))}))
+                lower.append(sorted([u, *(images[v] for v in lower[u] if not self._lowers(images, v))]))
             labels = tuple(el.label for el in self.elements)
             self._bruhat = _from_lower(labels, lower, covers=True)
         return self._bruhat

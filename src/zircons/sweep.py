@@ -1,7 +1,7 @@
 """Bulk verification sweeps over poset corpora.
 
-A sweep walks a stream of posets and, for each one, enumerates its
-special matchings and automorphisms, then runs the whole battery:
+A sweep walks a stream of posets and, for each one, whatever its corpus,
+enumerates its special matchings and automorphisms, then runs the same battery:
 the fixed-point construction on every (matching, automorphism) pair,
 the lifting property, zircon preservation under fixed points, agreement
 of the two zircon definitions, the Mobius sphericity proxy on zircons,
@@ -154,51 +154,42 @@ def _ideal_minimum_witness(P: Poset) -> Optional[str]:
     return None
 
 
-def _proof_step_records(poset_id: str, P: Poset, family, m_idx: int, a_idx: int) -> list[dict]:
-    """The proof-step invariants for one (matching, automorphism) case."""
-    records = []
+def _proof_step_records(P: Poset, family) -> list[tuple]:
+    """The proof-step invariants of one case, as ``(check, ok, witness)`` triples."""
     labels = P.elements
     perm = family.automorphism._perm
     try:
         extrema = [_extrema(P, mask) for mask in family.components]
     except ExtremaError as exc:
-        records.append(_record(poset_id, "component_extrema_unique", False,
-                               matching=m_idx, automorphism=a_idx, witness=str(exc)))
-        return records
-    records.append(_record(poset_id, "component_extrema_unique", True,
-                           matching=m_idx, automorphism=a_idx))
+        return [("component_extrema_unique", False, str(exc))]
 
     # the first fixed point, in element order, that is no extremum
-    bad = next((labels[p] for p, image in enumerate(perm)
-                if image == p and p not in extrema[family.component_of[p]]), None)
-    records.append(_record(poset_id, "fixed_points_extremal", bad is None,
-                           matching=m_idx, automorphism=a_idx, witness=bad))
-
-    bad = next(([labels[lo], labels[hi]] for lo, hi in extrema
-                if (perm[lo] == lo) != (perm[hi] == hi)), None)
-    records.append(_record(poset_id, "min_fixed_iff_max_fixed", bad is None,
-                           matching=m_idx, automorphism=a_idx, witness=bad))
+    bad_fixed = next((labels[p] for p, image in enumerate(perm)
+                      if image == p and p not in extrema[family.component_of[p]]), None)
+    bad_pair = next(([labels[lo], labels[hi]] for lo, hi in extrema
+                     if (perm[lo] == lo) != (perm[hi] == hi)), None)
 
     # A greedy walk moves strictly down (up) in its component and stops at a
     # sink, an element that no member moves down (up): every walk, in every
     # order, ends at the minimum (maximum) iff that is the only such sink.
     below, orbit = P._below, family.orbit
-    witness = None
+    sink = None
     for q, c in enumerate(family.component_of):
         lo, hi = extrema[c]
         down_sink = q != lo and not any(below[q] >> m[q] & 1 for m in orbit)
         up_sink = q != hi and not any(below[m[q]] >> q & 1 for m in orbit)
         if down_sink or up_sink:
-            witness = [labels[q], labels[q if down_sink else lo], labels[q if up_sink else hi]]
+            sink = [labels[q], labels[q if down_sink else lo], labels[q if up_sink else hi]]
             break
-    records.append(_record(poset_id, "greedy_descend_endpoints", witness is None,
-                           matching=m_idx, automorphism=a_idx, witness=witness))
-    return records
+    return [("component_extrema_unique", True, None),
+            ("fixed_points_extremal", bad_fixed is None, bad_fixed),
+            ("min_fixed_iff_max_fixed", bad_pair is None, bad_pair),
+            ("greedy_descend_endpoints", sink is None, sink)]
 
 
-def sweep_case(poset_id: str, P: Poset, mode: str, cap: int) -> list[dict]:
-    """All check records for one poset, the matching search capped at
-    ``cap``. Pure; safe to fan out."""
+def sweep_case(poset_id: str, P: Poset, cap: int) -> list[dict]:
+    """All check records for one poset, from any corpus, the matching
+    search capped at ``cap``. Pure; safe to fan out."""
     records: list[dict] = []
 
     zircon = is_zircon(P)
@@ -208,21 +199,17 @@ def sweep_case(poset_id: str, P: Poset, mode: str, cap: int) -> list[dict]:
     autos = automorphisms(P)
     try:
         specials = list(_special_partners(P, (1 << len(P)) - 1, cap))
-        truncated = False
     except SearchLimitError as exc:
-        specials = []
-        truncated = True
+        specials = None
         records.append(_record(poset_id, "enumeration_truncated", False, witness=str(exc)))
 
     skip_reason = None
     if not is_bounded(P):
         skip_reason = "not bounded"
-    elif truncated:
+    elif specials is None:
         skip_reason = "matching enumeration truncated"
     elif not specials:
         skip_reason = "no special matching"
-    elif mode == "random" and len(autos) == 1:
-        skip_reason = "only the trivial automorphism"
 
     if zircon:
         witness = _ideal_minimum_witness(P)
@@ -259,7 +246,8 @@ def sweep_case(poset_id: str, P: Poset, mode: str, cap: int) -> list[dict]:
             except (ConstructionError, ExtremaError) as exc:
                 records.append(_record(poset_id, "fixed_point_special", False,
                                        matching=m_idx, automorphism=a_idx, witness=str(exc)))
-            records.extend(_proof_step_records(poset_id, P, family, m_idx, a_idx))
+            records.extend(_record(poset_id, check, ok, matching=m_idx, automorphism=a_idx, witness=w)
+                           for check, ok, w in _proof_step_records(P, family))
         # how the induced matching depends on the base matching is an open
         # point; surface the observed spread without judging it
         records.append(_record(poset_id, "m_phi_dependence", True, automorphism=a_idx,
@@ -267,12 +255,12 @@ def sweep_case(poset_id: str, P: Poset, mode: str, cap: int) -> list[dict]:
     return records
 
 
-def _worker(case: tuple[str, Poset, str, int]) -> dict:
+def _worker(case: tuple[str, Poset, int]) -> dict:
     try:
         return {"records": sweep_case(*case)}
     except Exception:
-        poset_id, P, mode, cap = case
-        payload = {"poset_id": poset_id, "poset": poset_to_dict(P), "mode": mode, "cap": cap}
+        poset_id, P, cap = case
+        payload = {"poset_id": poset_id, "poset": poset_to_dict(P), "cap": cap}
         return {"panic": traceback.format_exc(), "poset": payload}
 
 
@@ -307,7 +295,7 @@ def run_sweep(
     if cap_matchings < 0:
         raise ManifestError(f"cap_matchings must be at least 0, not {cap_matchings}")
     started = time.perf_counter()
-    work = ((poset_id, P, config["mode"], cap_matchings) for poset_id, P in _iter_posets(config))
+    work = ((poset_id, P, cap_matchings) for poset_id, P in _iter_posets(config))
     workers = min(jobs, cores)
     if workers > 1:
         work = list(work)  # only the pool holds every case at once

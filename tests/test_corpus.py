@@ -54,6 +54,10 @@ class TestEnumeration:
         with pytest.raises(PosetError):
             next(enumerate_posets(8))
 
+    def test_negative_n(self):
+        with pytest.raises(PosetError, match="n must be nonnegative"):
+            next(enumerate_posets(-1))
+
     def test_stream_ids_unique(self):
         ids = [poset_id for poset_id, _ in _iter_posets({"mode": "exhaustive", "max_n": 4})]
         assert len(ids) == len(set(ids)) == 24

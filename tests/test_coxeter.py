@@ -148,6 +148,27 @@ class TestBuild:
         with pytest.raises(CoxeterError, match="I2 parameter has 5000 digits"):
             build_coxeter("I2:" + "9" * 5000)
 
+    def test_word_letter_cap(self):
+        """The reduced words of all |W| elements hold |W| l(w0) / 2 letters.
+        B6 holds the most of any A, B or D preset under the order cap,
+        46,080 x 36 / 2, and so bounds I2(m), whose m^2 letters pass it only
+        up to m = 910."""
+        for family, ranks in (("A", range(1, 8)), ("B", range(2, 7)), ("D", range(2, 7))):
+            for rank in ranks:
+                assert len(build_coxeter(f"{family}{rank}")) <= 50_000
+        assert len(build_coxeter("I2:910")) == 1820
+        with pytest.raises(CoxeterError, match="the reduced words of I2:911 hold 829921 letters, "
+                                               "more than the cap 829440"):
+            build_coxeter("I2:911")
+
+    def test_gen_index(self, a3):
+        assert a3.gen_index(2) == a3.gen_index("s2") == 2
+        with pytest.raises(CoxeterError, match="unknown generator 't1'"):
+            a3.gen_index("t1")
+        for i in (0, 4):
+            with pytest.raises(CoxeterError, match=f"generator index {i} out of range"):
+                a3.gen_index(i)
+
     def test_left_right_multiplication_commute(self, b2):
         """s (w t) = (s w) t, read off the tables."""
         for left in b2._left:
@@ -222,6 +243,14 @@ class TestBruhat:
             tracemalloc.stop()
         assert peak <= 2.4 * 2**20
 
+    @pytest.mark.parametrize("spec", ["A5", "B4", "D5", "I2:7"])
+    def test_lower_covers_do_not_repeat(self, spec):
+        """The lifting lists reach ``_down`` as they are: each must name
+        distinct elements in ascending order, since covers mode does not
+        look for a repeat."""
+        P = build_coxeter(spec).bruhat_poset()
+        assert all(list(row) == sorted(set(row)) for row in P._down)
+
     def test_subword_comparabilities(self, hexagon):
         assert leq(hexagon, "s1", "s2.s1") and leq(hexagon, "s2", "s1.s2")
 
@@ -257,6 +286,10 @@ class TestDescentMatching:
     def test_non_descent_rejected(self, a2):
         with pytest.raises(CoxeterError):
             descent_matching(a2, "s1", "s2", "right")
+
+    def test_bad_side_rejected(self, a2):
+        with pytest.raises(CoxeterError, match="side must be 'right' or 'left', got 'up'"):
+            descent_matching(a2, a2.longest_element(), "s1", "up")
 
     def test_ideal_with_a_foreign_label_rejected(self, a2):
         ideal = build_poset(["x", "e"], [("e", "x")])
@@ -487,6 +520,11 @@ class TestDiagramAutomorphism:
         assert theta.generator_map == {"s1": "s3", "s2": "s2", "s3": "s1"}
         with pytest.raises(CoxeterError):
             theta_from_spec(a3, "s1=s3")
+
+    @pytest.mark.parametrize("generator_map", [{"s1": "s4"}, {"s4": "s1"}])
+    def test_a_map_off_the_generators_is_rejected(self, a3, generator_map):
+        with pytest.raises(CoxeterError, match="generator map must permute the generating set"):
+            DiagramAutomorphism(a3, generator_map)
 
     @pytest.mark.parametrize("spec", ["s1:s3,s3:s1,s1:s1,s3:s3", "s1:s3,s1:s1", "s2:s2, s2 :s2"])
     def test_a_generator_mapped_twice_is_rejected(self, a3, spec):

@@ -120,6 +120,14 @@ class TestBuild:
         with pytest.raises(RedundantCoverError):
             build_poset([0], [(0, 0)], mode="covers")
 
+    def test_unknown_mode(self):
+        with pytest.raises(PosetError, match="unknown mode 'edges'"):
+            build_poset([0, 1], [(0, 1)], mode="edges")
+
+    def test_relations_mode_skips_reflexive_pairs(self):
+        P = build_poset([0, 1], [(0, 0), (0, 1), (1, 1)], mode="relations")
+        assert P.covers == (("0", "1"),)
+
 
 class TestOneConstructor:
     """``Poset.__init__`` makes every poset; ``build_poset`` validates."""
@@ -645,6 +653,12 @@ class TestIsomorphism:
 
     def test_diamond_vs_n_poset(self, diamond, n_poset):
         assert are_isomorphic(diamond, n_poset) is None
+
+    def test_different_sizes(self, diamond, hexagon):
+        assert are_isomorphic(diamond, hexagon) is None
+
+    def test_two_empty_posets(self):
+        assert are_isomorphic(build_poset([], []), build_poset([], [])) == {}
 
     def test_finds_map_across_relabeling(self, hexagon):
         relabeled = build_poset(

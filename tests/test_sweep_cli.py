@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import zircons.cli
 import zircons.sweep
-from zircons import build_coxeter, is_zircon, leq
+from zircons import ConstructionError, build_coxeter, is_zircon, leq
 from zircons.cli import main
 from zircons.sweep import (
     ManifestError,
@@ -85,6 +85,18 @@ class TestSweep:
         rep = run_sweep({"mode": "random", "n": 8, "seeds": [0, 1, 2], "density": 0.3}, jobs=1)
         assert rep.violations == 0
         assert rep.summary["posets"] == 3
+
+    def test_random_mode_runs_the_whole_battery(self, small_report):
+        """A bounded random poset whose only automorphism is the identity
+        gets the battery it gets in exhaustive mode. Every pair drawn, the
+        random poset on 4 elements is the 4-chain, class 15 of n = 4."""
+        rep = run_sweep({"mode": "random", "n": 4, "seeds": [0], "density": 1.0}, jobs=1)
+        by_check = rep.summary["by_check"]
+        assert rep.summary["skipped"] == 0 and rep.violations == 0
+        assert by_check["lifting_property"] == by_check["fixed_point_special"] == 1
+        chain = [{**r, "poset": "rand-n4-s0"} for r in small_report.cases
+                 if r["poset"] == "n4-c0015"]
+        assert rep.cases == chain
 
     def test_manifest_validation(self):
         for bad in (
@@ -469,7 +481,7 @@ class TestSweepCommand:
         assert "poset" in report  # serialized for reproduction
 
     def test_panic_payload(self, files, monkeypatch):
-        """The offending poset is serialized with its id, mode and cap:
+        """The offending poset is serialized with its id and cap:
         ``sweep_case``'s arguments, as ``poset_from_dict`` reads the poset."""
         tmp, write = files
 
@@ -483,7 +495,6 @@ class TestSweepCommand:
         assert json.loads((tmp / "panic.json").read_text())["poset"] == {
             "poset_id": "rand-n4-s3",
             "poset": {"elements": ["0", "1", "2", "3"], "covers": [["0", "1"], ["2", "3"]]},
-            "mode": "random",
             "cap": 1000000,
         }
 
@@ -624,11 +635,12 @@ class TestCoxeterCommand:
     def test_invalid_type(self, files):
         assert main(["coxeter", "Q9", "export"]) == 2
 
-    @pytest.mark.parametrize("spec", ["A2000", "I2:" + "9" * 5000, "A20000000"],
-                             ids=["A2000", "I2-5000-digits", "A20000000"])
+    @pytest.mark.parametrize("spec", ["A2000", "I2:" + "9" * 5000, "A20000000", "I2:25000"],
+                             ids=["A2000", "I2-5000-digits", "A20000000", "I2:25000"])
     def test_huge_type_spec(self, spec):
         """A group far over the order cap is malformed input, refused before
-        its order is computed: exit 2 and one error line, under a timeout."""
+        its order is computed, and so is I2:25000, whose words hold far more
+        letters than B6's: exit 2 and one error line, under a timeout."""
         src = str(Path(zircons.cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for argv in (["coxeter", spec, "export"], ["coxeter", "A2", "fix-check", "--against", spec]):
@@ -761,6 +773,18 @@ class TestDotMobiusCommands:
         tmp, write = files
         assert main(["mobius", write("p.json", DIAMOND), "0", "9"]) == 2
         assert capsys.readouterr() == ("", "error: unknown element id '9'\n")
+
+    def test_construction_error_exits_3(self, files, capsys, monkeypatch):
+        """A ConstructionError that reaches ``main`` is an internal
+        contradiction, not an input error."""
+        tmp, write = files
+
+        def contradiction(P, x, y):
+            raise ConstructionError("injected")
+
+        monkeypatch.setattr("zircons.cli.mobius", contradiction)
+        assert main(["mobius", write("p.json", DIAMOND), "0", "3"]) == 3
+        assert capsys.readouterr() == ("", "internal contradiction: injected\n")
 
 
 # Small ids, so that generated covers, pairs and maps often hit real elements.

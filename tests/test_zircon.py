@@ -235,6 +235,11 @@ class TestGreedyDescend:
         with pytest.raises(ValueError):
             greedy_descend(diamond, F, "1", "down", priority=[1, 1])
 
+    def test_direction_validation(self, diamond, diamond_swap):
+        F = matching_family(diamond, {"0": "1", "1": "0", "2": "3", "3": "2"}, diamond_swap)
+        with pytest.raises(ValueError, match="direction must be 'down' or 'up', got 'left'"):
+            greedy_descend(diamond, F, "1", "left")
+
 
 class TestFamilyOwnership:
     """The family helpers read a family's index tuples against P, so a
@@ -285,6 +290,11 @@ class TestFixedPoints:
         M = {"0": "1", "1": "0", "2": "3", "3": "2"}
         assert fixed_point_matching(diamond, M, diamond_swap) == {"0": "3", "3": "0"}
 
+    def test_matching_takes_a_plain_dict_map(self, diamond, diamond_swap):
+        M = {"0": "1", "1": "0", "2": "3", "3": "2"}
+        assert (fixed_point_matching(diamond, M, dict(diamond_swap.image))
+                == fixed_point_matching(diamond, M, diamond_swap) == {"0": "3", "3": "0"})
+
     def test_matching_hexagon(self, hexagon, hexagon_flip, m_rmult_s1):
         got = fixed_point_matching(hexagon, m_rmult_s1, hexagon_flip)
         assert got == {"e": "s1.s2.s1", "s1.s2.s1": "e"}
@@ -306,6 +316,16 @@ class TestFixedPoints:
         assert rep["special"] is True
         assert rep["witness"] is None
         assert rep["m_phi"] == [["e", "s1.s2.s1"]]
+
+    def test_report_on_an_unbounded_poset(self):
+        """Two disjoint 2-chains and their swap: M is special, and the
+        report says the construction needs a bounded poset."""
+        P = build_poset("abcd", [("a", "b"), ("c", "d")])
+        swap = PosetMap(P, {"a": "c", "b": "d", "c": "a", "d": "b"})
+        rep = fixed_point_report(P, {"a": "b", "b": "a", "c": "d", "d": "c"}, swap)
+        assert rep["special"] is False and rep["m_phi"] is None
+        assert rep["witness"] == "fixed-point construction requires a bounded poset"
+        assert rep["order_N"] == 2 and rep["fixed_points"] == []
 
 
 def _prism(core):
@@ -718,7 +738,7 @@ class TestChecksRunOnce:
             return real(**fields)
 
         monkeypatch.setattr("zircons.zircon.MatchingFamily", counting)
-        cases = [r for r in sweep_case("cube", cube, "exhaustive", 100)
+        cases = [r for r in sweep_case("cube", cube, 100)
                  if r["check"] == "fixed_point_special"]
         assert cases and all(r["ok"] for r in cases)
         assert len(built) == len(cases)
@@ -742,7 +762,7 @@ class TestChecksRunOnce:
 
         monkeypatch.setattr("zircons.sweep._fixed_point_matching", recording)
         monkeypatch.setattr("zircons.zircon._conjugates", counting)
-        records = sweep_case("cube", cube, "exhaustive", 100)
+        records = sweep_case("cube", cube, 100)
         assert all(r["ok"] for r in records)
         specials = [_partner(cube, M) for M in enumerate_special_matchings(cube)]
         assert len(handed) == len(automorphisms(cube)) * len(specials)
@@ -756,7 +776,7 @@ class TestChecksRunOnce:
 
     def test_sweep_builds_one_fixed_subposet_per_automorphism(self, monkeypatch, cube):
         built = _count_calls(monkeypatch, "posets", "_induced")
-        cases = [r for r in sweep_case("cube", cube, "exhaustive", 100)
+        cases = [r for r in sweep_case("cube", cube, 100)
                  if r["check"] == "fixed_point_special"]
         assert len(cases) > len(automorphisms(cube)) > 1
         # shared by the fixed_points_zircon check and every construction;
@@ -797,7 +817,7 @@ class TestChecksRunOnce:
         matching) case, on the induced matching of the fixed points."""
         specials = enumerate_special_matchings(cube)
         fixed = [len(phi.fixed_points()) for phi in automorphisms(cube) for _ in specials]
-        cases = [r for r in sweep_case("cube", cube, "exhaustive", 100)
+        cases = [r for r in sweep_case("cube", cube, 100)
                  if r["check"] == "fixed_point_special"]
         assert len(cases) == len(fixed) > 1 and all(r["ok"] for r in cases)
         assert check_calls == {"special": fixed, "matching": fixed}
@@ -873,7 +893,7 @@ class TestChecksRunOnce:
         subposets = [fixed_point_subposet(P, phi) for phi in automorphisms(P)
                      if phi.order() != 1] if zircon else []
         calls = _count_calls(monkeypatch, "zircon", "is_zircon")
-        sweep_case("p", P, "exhaustive", 100)
+        sweep_case("p", P, 100)
         # once on P, then once on the fixed-point subposet of each
         # non-identity automorphism of a zircon: the identity's is P
         assert calls == [len(P), *map(len, subposets)]
@@ -942,7 +962,7 @@ import zircons.sweep
 zircons.sweep._extrema = lambda P, mask: (-1, -1)  # no element is an extremum
 payload = json.loads(sys.argv[1])
 P = zircons.poset_from_dict(payload["poset"])
-records = zircons.sweep.sweep_case(payload["poset_id"], P, payload["mode"], payload["cap"])
+records = zircons.sweep.sweep_case(payload["poset_id"], P, payload["cap"])
 print(json.dumps([r["witness"] for r in records
                   if r["check"] == "fixed_points_extremal" and r["automorphism"] == 0]))
 """
@@ -954,8 +974,7 @@ def test_proof_step_witness_ignores_the_hash_seed(cube):
     automorphism) is extremal, every hash seed reports the same witness: the
     first fixed point in element order."""
     assert automorphisms(cube)[0].order() == 1
-    payload = json.dumps({"poset_id": "cube", "poset": poset_to_dict(cube),
-                          "mode": "exhaustive", "cap": 100})
+    payload = json.dumps({"poset_id": "cube", "poset": poset_to_dict(cube), "cap": 100})
     src = str(Path(zircons.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = set()
@@ -982,7 +1001,7 @@ def _greedy_records(posets):
     """Each ``greedy_descend_endpoints`` record of ``sweep_case`` with the
     poset and the matching family it was made from."""
     for poset_id, P in posets:
-        records = [r for r in sweep_case(poset_id, P, "exhaustive", DEFAULT_MATCHING_LIMIT)
+        records = [r for r in sweep_case(poset_id, P, DEFAULT_MATCHING_LIMIT)
                    if r["check"] == "greedy_descend_endpoints"]
         if not records:
             continue
@@ -993,8 +1012,9 @@ def _greedy_records(posets):
 
 
 def _greedy_record(P, F):
-    records = _proof_step_records("p", P, F, 0, 0)
-    return next(r for r in records if r["check"] == "greedy_descend_endpoints")
+    records = _proof_step_records(P, F)
+    check, ok, witness = next(r for r in records if r[0] == "greedy_descend_endpoints")
+    return {"ok": ok, "witness": witness}
 
 
 def _unmatched_by(P, F, moved, onto):
@@ -1050,7 +1070,7 @@ def test_theorem_on_the_b3_intervals():
     """The fixed-point theorem and its proof steps on every Bruhat interval
     of B3: 799 intervals, 9276 (matching, automorphism) cases."""
     records = [r for poset_id, P in _intervals("B3")
-               for r in sweep_case(poset_id, P, "exhaustive", DEFAULT_MATCHING_LIMIT)]
+               for r in sweep_case(poset_id, P, DEFAULT_MATCHING_LIMIT)]
     checks = [r["check"] for r in records]
     assert len({r["poset"] for r in records}) == 799
     assert checks.count("fixed_point_special") == checks.count("greedy_descend_endpoints") == 9276
