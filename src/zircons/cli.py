@@ -3,7 +3,8 @@
 Subcommands: check, sweep, coxeter, dot, mobius. Exit codes: 0 when all
 checks pass, 1 when a verification fails (the report carries a witness),
 2 on malformed input or violated preconditions, 3 when a sweep worker
-dies (the offending poset is serialized for reproduction). ``main``
+dies (the offending poset is serialized for reproduction) or a command
+meets an internal contradiction, a ``ConstructionError``. ``main``
 returns every one of them, argparse's included, and raises no SystemExit.
 
 ``coxeter T ACTION`` parses each action with its own parser, which declares
@@ -62,7 +63,6 @@ from .sweep import ManifestError, WorkerPanic, run_sweep
 from .zircon import (
     BoundednessError,
     ConstructionError,
-    ExtremaError,
     _require_bounded,
     fixed_point_report,
     fixed_point_subposet,
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
             SearchLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConstructionError, ExtremaError) as exc:
+    except ConstructionError as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return EXIT_PANIC
 

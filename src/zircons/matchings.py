@@ -178,11 +178,9 @@ def _special_partners(P: Poset, members: int, limit: Optional[int] = None) -> It
         return
     idxs, below = _bits(members), P._below
     m = len(idxs)
-    if m == len(P):
-        ups, downs = P._up, P._down
-    else:  # the covers among the members, from each end
-        ups = {i: [j for j in P._up[i] if members >> j & 1] for i in idxs}
-        downs = {i: [j for j in P._down[i] if members >> j & 1] for i in idxs}
+    # the covers among the members, from each end
+    ups = {i: [j for j in P._up[i] if members >> j & 1] for i in idxs}
+    downs = {i: [j for j in P._down[i] if members >> j & 1] for i in idxs}
     # a member's Hasse neighbors, ascending
     neighbors = {i: sorted([*ups[i], *downs[i]]) for i in idxs}
     partner = [-1] * len(P)

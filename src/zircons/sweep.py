@@ -9,7 +9,11 @@ and the proof-step invariants (unique component extrema, extremal fixed
 points, and the extrema as the only sinks of greedy descent).
 
 Each poset reaches ``sweep_case`` as the corpus built it, pickled if it
-goes to a worker process; only a worker panic serializes it.
+goes to a worker process; only a worker panic serializes it. The
+construction on each (matching, automorphism) pair runs through
+``zircon._construct``, the one outcome that ``fixed_point_report`` lays
+out too: a ``fixed_point_special`` record carries the induced matching,
+or ``ok: false`` and the failed step's message as its witness.
 
 Reports are deterministic: records are sorted, and the JSON encoding is
 byte-stable apart from the wall-clock duration field.
@@ -26,23 +30,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import corpus
-from .matchings import (
-    DEFAULT_MATCHING_LIMIT,
-    SearchLimitError,
-    _lifting,
-    _special_partners,
-    matching_pairs,
-)
+from .matchings import DEFAULT_MATCHING_LIMIT, SearchLimitError, _lifting, _special_partners
 from .posets import (Poset, _fixed_subposet, _sphericity_witness, automorphisms, is_bounded,
                      poset_to_dict)
-from .zircon import (
-    ConstructionError,
-    ExtremaError,
-    _extrema,
-    _fixed_point_matching,
-    _matching_family,
-    is_zircon,
-)
+from .zircon import ExtremaError, _construct, _extrema, is_zircon
 
 __all__ = ["SweepReport", "ManifestError", "run_sweep", "validate_manifest"]
 
@@ -73,12 +64,7 @@ class SweepReport:
         return self.summary.get("violations", 0)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "cases": self.cases,
-            "summary": self.summary,
-            "duration_seconds": self.duration_seconds,
-        }
+        return dict(vars(self))
 
 
 def _is_int(value) -> bool:
@@ -234,18 +220,12 @@ def sweep_case(poset_id: str, P: Poset, cap: int) -> list[dict]:
     for a_idx, phi in enumerate(autos):
         m_phi_seen: list = []
         for m_idx, partner in enumerate(specials):
-            family = _matching_family(partner, phi)
-            try:
-                m_phi = _fixed_point_matching(P, partner, phi)
-                pairs = matching_pairs(m_phi)
-                records.append(_record(poset_id, "fixed_point_special", True,
-                                       matching=m_idx, automorphism=a_idx,
-                                       info={"order_N": family.order, "m_phi": pairs}))
-                if pairs not in m_phi_seen:
-                    m_phi_seen.append(pairs)
-            except (ConstructionError, ExtremaError) as exc:
-                records.append(_record(poset_id, "fixed_point_special", False,
-                                       matching=m_idx, automorphism=a_idx, witness=str(exc)))
+            family, pairs, witness = _construct(P, partner, phi)
+            info = None if pairs is None else {"order_N": family.order, "m_phi": pairs}
+            records.append(_record(poset_id, "fixed_point_special", pairs is not None,
+                                   matching=m_idx, automorphism=a_idx, witness=witness, info=info))
+            if pairs is not None and pairs not in m_phi_seen:
+                m_phi_seen.append(pairs)
             records.extend(_record(poset_id, check, ok, matching=m_idx, automorphism=a_idx, witness=w)
                            for check, ok, w in _proof_step_records(P, family))
         # how the induced matching depends on the base matching is an open

@@ -22,9 +22,14 @@ induced pairing on every call, in index form, on the fixed-point subposet:
 first to be a matching, then to be special. The steps in between trust the
 theory and are not re-checked at run time; the test suite checks them
 against a construction on the whole matching family. A result that
-fails its one check raises ``ConstructionError`` loudly. Inside,
-matchings are ``partner`` tuples of ``matchings`` and components are
-bitmasks over element indices, each the closure of one element under
+fails its one check raises ``ConstructionError`` loudly; ``ExtremaError``,
+a component without unique extrema, is a ``ConstructionError`` too, so
+every internal contradiction is caught as that one type. The sweep's
+records and ``fixed_point_report`` take one construction outcome from
+``_construct``: the family, then either the induced matching's pairs or
+the message of the step that failed.
+Inside, matchings are ``partner`` tuples of ``matchings`` and
+components are bitmasks over element indices, each the closure of one element under
 some index maps, walked by ``_closure``. The component of a fixed point
 p is phi-stable, so it is the closure of {p} under M and phi;
 ``fixed_point_matching`` walks only these closures and builds no
@@ -81,13 +86,13 @@ class BoundednessError(ValueError):
     """The operation requires a unique minimum and maximum."""
 
 
-class ExtremaError(RuntimeError):
-    """A component failed to have unique extrema; indicates a bug, the
-    construction guarantees uniqueness."""
-
-
 class ConstructionError(RuntimeError):
     """An internal step contradicted a guaranteed property."""
+
+
+class ExtremaError(ConstructionError):
+    """A component failed to have unique extrema; indicates a bug, the
+    construction guarantees uniqueness."""
 
 
 @dataclass(frozen=True)
@@ -396,26 +401,33 @@ def fixed_point_matching(P: Poset, M: Mapping, phi) -> dict[str, str]:
     return _fixed_point_matching(P, _special_input(P, M, _NOT_SPECIAL), fm)
 
 
+def _construct(
+    P: Poset, partner: Sequence[int], phi: PosetMap
+) -> tuple[MatchingFamily, Optional[list[list[str]]], Optional[str]]:
+    """The one run of the construction on a special matching in index form:
+    its family, then the induced matching's sorted pairs, or None and the
+    message of the step that failed, a ``BoundednessError`` or a
+    ``ConstructionError``."""
+    family = _matching_family(partner, phi)
+    try:
+        _require_bounded(P)
+        m_phi = _fixed_point_matching(P, partner, phi)
+    except (BoundednessError, ConstructionError) as exc:
+        return family, None, str(exc)
+    return family, matching_pairs(m_phi), None
+
+
 def fixed_point_report(P: Poset, M: Mapping, phi) -> dict:
-    """JSON-ready record of one fixed-point construction run."""
+    """JSON-ready record of one fixed-point construction run; an unbounded
+    P gives ``special: false`` with the boundedness message as witness."""
     fm = _as_poset_map(P, phi)
-    partner = _special_input(P, M, _NOT_SPECIAL)
-    family = _matching_family(partner, fm)
-    report = {
+    family, pairs, witness = _construct(P, _special_input(P, M, _NOT_SPECIAL), fm)
+    return {
         "n": len(P),
         "order_N": family.order,
         "components": [[P.elements[i] for i in _bits(mask)] for mask in family.components],
-        "fixed_points": list(family.automorphism.fixed_points()),
-        "special": False,
-        "witness": None,
-        "m_phi": None,
+        "fixed_points": list(fm.fixed_points()),
+        "special": pairs is not None,
+        "witness": witness,
+        "m_phi": pairs,
     }
-    try:
-        _require_bounded(P)
-        m_phi = _fixed_point_matching(P, partner, fm)
-    except (BoundednessError, ConstructionError, ExtremaError) as exc:
-        report["witness"] = str(exc)
-        return report
-    report["special"] = True
-    report["m_phi"] = matching_pairs(m_phi)
-    return report

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 import coxeter_oracle as oracle
+import zircons.coxeter
 from zircons import (
     CoxeterError,
     DiagramAutomorphism,
@@ -26,7 +27,7 @@ from zircons import (
     twisted_map,
 )
 from zircons.cli import main
-from zircons.coxeter import _descent_failures
+from zircons.coxeter import CoxeterSystem, _descent_failures
 from zircons.posets import PosetMap, induced_subposet
 
 TRIALITY = "s1:s2,s2:s4,s4:s1"
@@ -542,6 +543,42 @@ class TestDiagramAutomorphism:
                 lhs = image[index[oracle.mul(model, gens[k])]]
                 rhs = oracle.mul(image[i], gens[a3.gen_index(theta.generator_map[s]) - 1])
                 assert lhs == rhs
+
+
+class TestModelBugs:
+    """The raises that guard the permutation models and the index tables
+    against a bug of their own; each runs on a fresh group whose model or
+    table is broken on purpose."""
+
+    def test_short_enumeration(self, monkeypatch):
+        real = zircons.coxeter._permutation_model
+
+        def s1_is_the_identity(family, rank):
+            gens = real(family, rank)
+            return [tuple(range(1, len(gens[0]) + 1)), *gens[1:]]
+
+        monkeypatch.setattr("zircons.coxeter._permutation_model", s1_is_the_identity)
+        with pytest.raises(CoxeterError,
+                           match="^model enumeration produced 6 elements, expected 24$"):
+            CoxeterSystem("A3")
+
+    def test_extension_that_is_no_homomorphism(self):
+        W = CoxeterSystem("A3")
+        table = W._right[0]
+        table[1], table[2] = table[2], table[1]
+        with pytest.raises(CoxeterError,
+                           match="^letterwise extension is not a homomorphism; model bug$"):
+            theta_from_spec(W, "flip")
+
+    def test_twisted_map_that_is_no_involution(self):
+        """A swap of two legs of D4 with the triality's table: the map
+        w -> theta(w^-1) is then an automorphism of order 3."""
+        W = CoxeterSystem("D4")
+        theta = theta_from_spec(W, "s1:s2,s2:s1")
+        theta._perm = theta_from_spec(W, TRIALITY)._perm
+        with pytest.raises(CoxeterError,
+                           match="^twisted map failed to be an involution; model bug$"):
+            twisted_map(W, theta)
 
 
 class TestTwisted:

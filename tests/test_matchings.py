@@ -29,7 +29,7 @@ from zircons import (
     twisted_map,
     verify_lifting,
 )
-from zircons.matchings import _partner, _special_input, _special_partners
+from zircons.matchings import Verdict, _lifting, _partner, _special_input, _special_partners
 from zircons.posets import _bits, automorphisms
 
 
@@ -290,6 +290,16 @@ class TestLifting:
     def test_rejects_non_special_input(self, n_poset):
         with pytest.raises(MatchingError):
             verify_lifting(n_poset, {"a": "c", "c": "a", "b": "d", "d": "b"})
+
+    def test_witness_on_a_real_failure(self):
+        """On 0<2, 0<3, 1<3 the matching {0-2, 1-3} is not special (the
+        cover 0<3 fails), so ``verify_lifting`` refuses it; ``_lifting``
+        itself finds y = 3 with M(3) = 1 < 3 and x = 0 < 3 with M(0) = 2
+        not below 3, and names (x, y)."""
+        P = build_poset([0, 1, 2, 3], [(0, 2), (0, 3), (1, 3)])
+        partner = _partner(P, {"0": "2", "2": "0", "1": "3", "3": "1"})
+        assert partner is not None
+        assert _lifting(P, partner) == Verdict(False, ("0", "3"))
 
 
 _MUTATORS = (

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import zircons.cli
 import zircons.sweep
-from zircons import ConstructionError, build_coxeter, is_zircon, leq
+from zircons import ConstructionError, ExtremaError, automorphisms, build_coxeter, is_zircon, leq
 from zircons.cli import main
+from zircons.matchings import Verdict, _special_partners
 from zircons.sweep import (
     ManifestError,
     SweepReport,
@@ -194,6 +195,65 @@ class TestSweep:
         assert rep.violations >= len(truncated)
 
 
+_PROOF_STEPS = ["component_extrema_unique", "fixed_points_extremal", "greedy_descend_endpoints",
+                "min_fixed_iff_max_fixed"]
+
+
+class TestViolationRecords:
+    """A failed step of the construction or of the proof-step invariants
+    becomes an ``ok: false`` record, a counted violation and exit 1."""
+
+    @pytest.fixture()
+    def injected(self, monkeypatch, cube):
+        """The construction raises on one case of the cube: its second
+        special matching under its second automorphism."""
+        target = (tuple(list(_special_partners(cube, 255))[1]), tuple(automorphisms(cube)[1]._perm))
+        real = zircons.zircon._fixed_point_matching
+
+        def failing(P, partner, phi):
+            if (tuple(partner), tuple(phi._perm)) == target:
+                raise ConstructionError("injected")
+            return real(P, partner, phi)
+
+        monkeypatch.setattr("zircons.zircon._fixed_point_matching", failing)
+        # every manifest yields the cube alone
+        monkeypatch.setattr("zircons.sweep._iter_posets", lambda config: iter([("cube", cube)]))
+
+    def test_failed_construction_is_a_violation(self, injected, cube, files):
+        records = zircons.sweep.sweep_case("cube", cube, 100)
+        failed = [r for r in records if not r["ok"]]
+        assert failed == [{"poset": "cube", "check": "fixed_point_special", "matching": 1,
+                           "automorphism": 1, "ok": False, "witness": "injected", "info": None}]
+        case = [r for r in records if r["matching"] == 1 and r["automorphism"] == 1]
+        assert sorted(r["check"] for r in case) == sorted(["fixed_point_special", *_PROOF_STEPS])
+        assert all(r["ok"] for r in case if r["check"] != "fixed_point_special")
+
+        assert run_sweep({"mode": "exhaustive", "max_n": 1}, jobs=1).violations == 1
+        tmp, write = files
+        rc = main(["sweep", write("man.json", {"mode": "exhaustive", "max_n": 1}),
+                   "--jobs", "1", "--output", str(tmp / "sweep.json")])
+        assert rc == 1
+        report = json.loads((tmp / "sweep.json").read_text())
+        assert report["summary"]["violations"] == 1
+
+    def test_extrema_failure_is_the_only_proof_step(self, monkeypatch, cube):
+        def no_extrema(P, mask):
+            raise ExtremaError("injected")
+
+        monkeypatch.setattr("zircons.sweep._extrema", no_extrema)
+        records = zircons.sweep.sweep_case("cube", cube, 100)
+        cases = {(r["matching"], r["automorphism"]) for r in records
+                 if r["check"] == "fixed_point_special"}
+        assert len(cases) > 1
+        for m_idx, a_idx in cases:
+            case = [r for r in records if (r["matching"], r["automorphism"]) == (m_idx, a_idx)]
+            steps = [r for r in case if r["check"] in _PROOF_STEPS]
+            assert [(r["check"], r["ok"], r["witness"]) for r in steps] == [
+                ("component_extrema_unique", False, "injected")]
+            # the construction has its own binding of _extrema and still passes
+            assert [r["ok"] for r in case if r["check"] == "fixed_point_special"] == [True]
+
+
 DIAMOND = {
     "elements": ["0", "1", "2", "3"],
     "covers": [["0", "1"], ["0", "2"], ["1", "3"], ["2", "3"]],
@@ -262,6 +322,38 @@ class TestCheckCommand:
         assert rc == 0
         report = json.loads((tmp / "report.json").read_text())
         assert report["fixed_point"]["m_phi"] == [["0", "3"]]
+
+    def test_lifting_failure(self, files, monkeypatch):
+        """A lifting verdict that fails is reported with its witness."""
+        tmp, write = files
+        monkeypatch.setattr("zircons.matchings._lifting",
+                            lambda P, partner: Verdict(False, ("0", "3")))
+        rc = main(["check", write("p.json", DIAMOND),
+                   write("m.json", {"pairs": [["0", "1"], ["2", "3"]]}),
+                   "--output", str(tmp / "report.json")])
+        assert rc == 1
+        report = json.loads((tmp / "report.json").read_text())
+        assert report["special"] is True
+        assert report["lifting"] is False and report["lifting_witness"] == ["0", "3"]
+
+    def test_fixed_point_failure(self, files, monkeypatch):
+        """A construction that fails is reported as ``special: false`` with
+        the failed step's message."""
+        tmp, write = files
+
+        def failing(P, partner, phi):
+            raise ConstructionError("injected")
+
+        monkeypatch.setattr("zircons.zircon._fixed_point_matching", failing)
+        rc = main(["check", write("p.json", DIAMOND),
+                   write("m.json", {"pairs": [["0", "1"], ["2", "3"]]}),
+                   write("phi.json", {"map": {"0": "0", "1": "2", "2": "1", "3": "3"}}),
+                   "--output", str(tmp / "report.json")])
+        assert rc == 1
+        report = json.loads((tmp / "report.json").read_text())
+        assert report["lifting"] is True
+        fp = report["fixed_point"]
+        assert fp["special"] is False and fp["witness"] == "injected" and fp["m_phi"] is None
 
     def test_non_automorphism_is_input_error(self, files, capsys):
         """A map that is no automorphism exits 2 with the library's reason:

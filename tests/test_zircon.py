@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -370,6 +371,24 @@ def test_theorem_on_random_prisms_beyond_exhaustive_range():
                     assert is_special(fixed_point_subposet(P, phi), got).ok
                     cases += 1
     assert cases > 100
+
+
+def test_sweep_battery_on_random_prisms():
+    """The sweep's whole battery on the 45 prisms above. Each is bounded and
+    has a special matching, so, unlike nearly every poset of a random
+    manifest, each one runs the construction, the lifting property and the
+    proof-step invariants; none is skipped and none fails."""
+    by_check = Counter()
+    for seed in range(15):
+        for n_core in (4, 5, 6):
+            P = _prism(_bounded_random(n_core - 2, seed))
+            records = sweep_case(f"prism-{n_core}-s{seed}", P, DEFAULT_MATCHING_LIMIT)
+            assert [r for r in records if not r["ok"]] == []
+            by_check.update(r["check"] for r in records)
+    assert by_check["theorem_suite_skipped"] == 0
+    assert by_check["fixed_point_special"] >= 278
+    assert by_check["lifting_property"] >= 70
+    assert by_check["fixed_points_zircon"] >= 48
 
 
 def test_theorem_holds_across_small_bounded_posets(corpus_to_5):
@@ -749,7 +768,7 @@ class TestChecksRunOnce:
         records, and hands the construction the base matching;
         ``fixed_point_matching`` builds no conjugate at all."""
         handed, conjugated = [], []
-        real_construction = zircons.sweep._fixed_point_matching
+        real_construction = zircons.zircon._fixed_point_matching
         real_conjugates = zircons.zircon._conjugates
 
         def recording(P, partner, phi):
@@ -760,7 +779,7 @@ class TestChecksRunOnce:
             conjugated.append(tuple(partner))
             return real_conjugates(partner, phi)
 
-        monkeypatch.setattr("zircons.sweep._fixed_point_matching", recording)
+        monkeypatch.setattr("zircons.zircon._fixed_point_matching", recording)
         monkeypatch.setattr("zircons.zircon._conjugates", counting)
         records = sweep_case("cube", cube, 100)
         assert all(r["ok"] for r in records)
